@@ -52,7 +52,7 @@ def _add_common(p):
     p.add_argument("--cutoff", type=float, default=64.0,
                    help="far-field probe multiplier")
     p.add_argument("--threads", type=int, default=None,
-                   help="worker cap (default: TUNNELVISION_THREADS or all cores)")
+                   help="accepted for compatibility; has no effect")
     p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
 
 
@@ -106,12 +106,9 @@ def cmd_dogbone(args) -> int:
     if not 0.0 < args.eps < 0.5:
         raise CliError(f"--eps must lie in (0, 1/2), got {args.eps}")
     started = time.monotonic()
-    config = _config(args)
-    threads = runio.thread_count(args.threads)
-    report, profile = dogbone_experiment(args.eps, config,
+    report, profile = dogbone_experiment(args.eps, _config(args),
                                          n_samples=args.samples,
-                                         refine_tol=args.refine_tol,
-                                         threads=threads)
+                                         refine_tol=args.refine_tol)
     report_path = _out(args, "report.json")
     runio.write_json(report_path, report.to_obj())
     profile_path = _out(args, "axis_profile.csv")
@@ -146,9 +143,7 @@ def cmd_measure(args) -> int:
 def cmd_profile(args) -> int:
     started = time.monotonic()
     domain = _load_domain(args.domain)
-    threads = runio.thread_count(args.threads)
-    prof = axis_profile(domain, args.z_min, args.z_max, args.n, _config(args),
-                        threads=threads)
+    prof = axis_profile(domain, args.z_min, args.z_max, args.n, _config(args))
     path = _out(args, args.out)
     runio.write_csv(path, ["z [model units]", "f [dimensionless]",
                            "err [dimensionless]"], prof.rows())
@@ -162,10 +157,8 @@ def cmd_profile(args) -> int:
 def cmd_critical(args) -> int:
     started = time.monotonic()
     domain = _load_domain(args.domain)
-    threads = runio.thread_count(args.threads)
     grid = GridSpec.for_domain(domain, args.grid_n)
-    verdict = almost_kahler_verdict(domain, grid, _config(args),
-                                    threads=threads)
+    verdict = almost_kahler_verdict(domain, grid, _config(args))
     path = _out(args, "verdict.json")
     runio.write_json(path, verdict.to_obj())
     man = _manifest(args, "critical",

@@ -27,8 +27,7 @@ import numpy as np
 from .domains import PlanarDomain, reflection_symmetric
 from .hyperbolic import H3Point
 from .measure import (MeasureValue, QuadratureConfig, harmonic_measure,
-                      measure_with_gradient)
-from .runio import pmap
+                      measure_many, measure_with_gradient)
 
 __all__ = [
     "AxisProfile",
@@ -135,21 +134,29 @@ class GridSpec:
         zs = np.geomspace(self.z[0], self.z[1], int(self.z[2]))
         return xs, ys, zs
 
+    def points(self):
+        """The grid points, x slowest and z fastest."""
+        xs, ys, zs = self.axes()
+        return [H3Point(float(x), float(y), float(z))
+                for x in xs for y in ys for z in zs]
+
     def to_obj(self):
         return {"x": list(self.x), "y": list(self.y), "z": list(self.z)}
 
 
+def _axis_points(zs):
+    return [H3Point(0.0, 0.0, z) for z in zs]
+
+
 def axis_profile(domain: PlanarDomain, z_min: float, z_max: float, n: int,
-                 config: QuadratureConfig = QuadratureConfig(),
-                 threads: int = 1) -> AxisProfile:
+                 config: QuadratureConfig = QuadratureConfig()) -> AxisProfile:
     """Log-spaced samples of the measure along the axis through 0."""
     if not 0.0 < z_min < z_max:
         raise ValueError("need 0 < z_min < z_max")
     if n < 2:
         raise ValueError("need at least two samples")
     zs = np.geomspace(z_min, z_max, n)
-    vals = pmap(lambda z: harmonic_measure(domain, H3Point(0.0, 0.0, z), config),
-                zs.tolist(), threads)
+    vals = measure_many(domain, _axis_points(zs.tolist()), config)
     return AxisProfile(z=zs,
                        f=np.array([v.value for v in vals]),
                        err=np.array([v.error for v in vals]))
@@ -188,15 +195,9 @@ def _hessian_at(domain, p, config, h=None):
     if h is None:
         h = max(1e-4, 2e-3 * p.z)
     base = p.as_array()
-    H = np.zeros((3, 3))
-    for i in range(3):
-        dp = base.copy()
-        dp[i] += h
-        dm = base.copy()
-        dm[i] -= h
-        gp = measure_with_gradient(domain, H3Point(*dp), config)[1]
-        gm = measure_with_gradient(domain, H3Point(*dm), config)[1]
-        H[:, i] = (gp - gm) / (2.0 * h)
+    pts = [H3Point(*(base + s)) for d in h * np.eye(3) for s in (d, -d)]
+    grads = measure_many(domain, pts, config, gradient=True)[1]
+    H = ((grads[0::2] - grads[1::2]) / (2.0 * h)).T
     return 0.5 * (H + H.T)
 
 
@@ -222,31 +223,36 @@ def axis_critical_points(profile: AxisProfile, domain: PlanarDomain,
     """Locate and classify interior extrema of the axis profile.
 
     Sign changes of the discrete derivative are bracketed and refined by
-    golden-section search on the measure itself.  Extrema whose height above
-    the bracketing samples is below the combined quadrature error are
-    reported with ``conclusive=False``.
+    golden-section search on the measure itself.  An extremum is
+    ``conclusive`` when the analytic derivative df/dz at the two bracket ends
+    has the expected opposite signs beyond its error bars, which proves a
+    zero of df/dz inside the bracket.
 
     The domain must be bounded and pass the reflection-symmetry check;
     otherwise axis extrema would not be critical points of the 3-space
     function and the call is rejected.
     """
     _require_axis_symmetric(domain)
-    z, f, err = profile.z, profile.f, profile.err
-    df = np.diff(f)
+    z = profile.z
+    df = np.diff(profile.f)
+    brackets = [i for i in range(len(df) - 1)
+                if df[i] != 0.0 and df[i] * df[i + 1] < 0.0]
+    # df/dz at both ends of every bracket, in one batched evaluation
+    ends = _axis_points(z[i + k] for i in brackets for k in (0, 2))
+    _, grads, gerrs = measure_many(domain, ends, config, gradient=True)
+    slope = grads[:, 2].reshape(-1, 2)
+    slope_err = gerrs[:, 2].reshape(-1, 2)
+
+    def fun(zz):
+        return harmonic_measure(domain, H3Point(0.0, 0.0, zz), config).value
+
     reports = []
-    for i in range(len(df) - 1):
-        if df[i] == 0.0 or df[i] * df[i + 1] >= 0.0:
-            continue
+    for i, (ga, gb), (ea, eb) in zip(brackets, slope, slope_err):
         is_max = df[i] > 0.0
-        a, b = z[i], z[i + 2]
-        margin = min(abs(f[i + 1] - f[i]), abs(f[i + 2] - f[i + 1]))
-        noise = err[i] + err[i + 1] + err[i + 2]
-        conclusive = bool(margin > noise)
-
-        def fun(zz):
-            return harmonic_measure(domain, H3Point(0.0, 0.0, zz), config).value
-
-        z_star = _golden_section(fun, a, b, refine_tol, maximize=is_max)
+        sign = 1.0 if is_max else -1.0  # f rises into a max, falls into a min
+        conclusive = bool(sign * ga > ea and sign * gb < -eb)
+        z_star = _golden_section(fun, z[i], z[i + 2], refine_tol,
+                                 maximize=is_max)
         reports.append(_axis_report(domain, z_star,
                                     "axis-max" if is_max else "axis-min",
                                     config, refine_tol, conclusive))
@@ -287,21 +293,20 @@ def dogbone_experiment(epsilon: float,
     estimates, decides the strict inequality f(0,0,eps) < f(0,0,1) only when
     the error bars do not overlap, and searches the axis window
     [epsilon^2, 10] for critical points.  Returns a DogboneReport together
-    with the axis profile used for the search.
+    with the axis profile used for the search.  ``threads`` is accepted and
+    has no effect.
     """
     from .domains import dogbone  # local import to keep module deps one-way
 
     if not 0.0 < epsilon < 0.5:
         raise ValueError(f"epsilon must lie in (0, 1/2), got {epsilon}")
     domain = dogbone(epsilon)
-    f_eps = harmonic_measure(domain, H3Point(0.0, 0.0, epsilon), config)
-    f_one = harmonic_measure(domain, H3Point(0.0, 0.0, 1.0), config)
+    f_eps, f_one = measure_many(domain, _axis_points([epsilon, 1.0]), config)
     separated = (f_eps.value + f_eps.error < f_one.value - f_one.error
                  or f_one.value + f_one.error < f_eps.value - f_eps.error)
     holds = f_eps.value + f_eps.error < f_one.value - f_one.error
     window = (epsilon**2, 10.0)
-    profile = axis_profile(domain, window[0], window[1], n_samples, config,
-                           threads=threads)
+    profile = axis_profile(domain, window[0], window[1], n_samples, config)
     cps = axis_critical_points(profile, domain, refine_tol, config)
     report = DogboneReport(
         epsilon=epsilon,
@@ -376,7 +381,8 @@ def almost_kahler_verdict(domain: PlanarDomain, search: GridSpec | None = None,
     Any converged report means the associated conformal class is not
     representable by an almost-Kahler metric.  ``no_critical_point_found`` is
     explicitly search-relative: it is evidence at the coverage recorded in
-    the verdict, not a proof that none exist.
+    the verdict, not a proof that none exist.  ``threads`` is accepted and
+    has no effect.
     """
     r = domain.bounding_radius
     if not math.isfinite(r):
@@ -391,18 +397,13 @@ def almost_kahler_verdict(domain: PlanarDomain, search: GridSpec | None = None,
     symmetric = reflection_symmetric(domain, _SYMMETRY_SAMPLES, _SYMMETRY_SEED)
     if symmetric:
         zs = search.axes()[2]
-        profile = axis_profile(domain, zs[0], zs[-1], 200, config,
-                               threads=threads)
+        profile = axis_profile(domain, zs[0], zs[-1], 200, config)
         reports.extend(axis_critical_points(profile, domain, 1e-6, config))
 
-    xs, ys, zs = search.axes()
-    pts = [H3Point(float(x), float(y), float(z))
-           for x in xs for y in ys for z in zs]
-    norms = pmap(
-        lambda p: p.z * float(np.linalg.norm(
-            measure_with_gradient(domain, p, config)[1])),
-        pts, threads)
-    norms = np.array(norms)
+    pts = search.points()
+    grads = measure_many(domain, pts, config, gradient=True)[1]
+    norms = np.array([p.z * float(np.linalg.norm(g))
+                      for p, g in zip(pts, grads)])
     min_norm = float(norms.min())
 
     for idx in np.nonzero(norms < threshold)[0]:

@@ -41,7 +41,6 @@ __all__ = [
     "hausdorff_distance",
     "boundary_points",
     "domain_from_obj",
-    "domain_to_obj",
 ]
 
 
@@ -68,11 +67,8 @@ class PlanarDomain:
     def to_obj(self):
         raise NotImplementedError
 
-    # ray support: crossing_slots() is the fixed number of candidate-crossing
-    # columns this subtree contributes; ray_crossings fills them (NaN = none).
-
-    def crossing_slots(self) -> int:
-        return sum(p.crossing_slots() for p in self.primitives())
+    # ray support: each primitive fills a fixed number of crossing columns
+    # (NaN = none); ``origin`` is one point, or one point per ray.
 
     def ray_crossings(self, origin: complex, dirs: np.ndarray) -> np.ndarray:
         parts = [p.ray_crossings(origin, dirs) for p in self.primitives()]
@@ -119,14 +115,12 @@ class Disk(PlanarDomain):
     def scaled(self, lam):
         return Disk(self.center * lam, self.radius * lam)
 
-    def crossing_slots(self):
-        return 2
-
     def ray_crossings(self, origin, dirs):
         # |origin + t u - c|^2 = r^2, u unit: t^2 + 2 b t + q = 0
         oc = origin - self.center
         b = (np.conj(dirs) * oc).real
-        q = abs(oc) ** 2 - self.radius**2
+        q = np.abs(oc)
+        q = q * q - self.radius**2
         disc = b * b - q
         out = np.full((len(dirs), 2), np.nan)
         hit = disc > 0
@@ -166,7 +160,7 @@ class HalfPlane(PlanarDomain):
             object.__setattr__(self, "normal", self.normal / n)
 
     def contains(self, zeta):
-        return (np.conj(self.normal) * np.asarray(zeta)).real > self.offset
+        return (self.normal.conjugate() * np.asarray(zeta)).real > self.offset
 
     @property
     def bounding_radius(self) -> float:
@@ -178,16 +172,11 @@ class HalfPlane(PlanarDomain):
     def scaled(self, lam):
         return HalfPlane(self.normal, self.offset * lam)
 
-    def crossing_slots(self):
-        return 1
-
     def ray_crossings(self, origin, dirs):
-        num = self.offset - (np.conj(self.normal) * origin).real
-        den = (np.conj(self.normal) * dirs).real
-        out = np.full((len(dirs), 1), np.nan)
-        ok = den != 0
-        out[ok, 0] = num / den[ok]
-        return out
+        num = self.offset - (self.normal.conjugate() * origin).real
+        den = (self.normal.conjugate() * dirs).real
+        # rays parallel to the line (den == 0) get NaN: no crossing
+        return (num / np.where(den != 0, den, np.nan))[:, None]
 
     def kink_angles(self, origin):
         a = math.atan2(self.normal.imag, self.normal.real)
@@ -260,9 +249,6 @@ class SimplePolygon(PlanarDomain):
     def scaled(self, lam):
         return SimplePolygon(tuple(v * lam for v in self.vertices))
 
-    def crossing_slots(self):
-        return len(self.vertices)
-
     def ray_crossings(self, origin, dirs):
         a, b = self._edges()
         e = b - a  # edge vectors
@@ -307,8 +293,6 @@ class _Node(PlanarDomain):
 
 
 class Union(_Node):
-    _tag = "union"
-
     def contains(self, zeta):
         out = self.args[0].contains(zeta)
         for a in self.args[1:]:
@@ -327,8 +311,6 @@ class Union(_Node):
 
 
 class Intersection(_Node):
-    _tag = "intersection"
-
     def contains(self, zeta):
         out = self.args[0].contains(zeta)
         for a in self.args[1:]:
@@ -347,8 +329,6 @@ class Intersection(_Node):
 
 
 class Difference(_Node):
-    _tag = "difference"
-
     def __init__(self, left, right):
         super().__init__(left, right)
 
@@ -516,7 +496,3 @@ def domain_from_obj(obj) -> PlanarDomain:
     if "dogbone" in obj:
         return dogbone(float(obj["dogbone"]["eps"]))
     raise ValueError(f"unknown domain node: {sorted(obj)!r}")
-
-
-def domain_to_obj(domain: PlanarDomain):
-    return domain.to_obj()

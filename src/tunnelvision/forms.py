@@ -34,8 +34,7 @@ import numpy as np
 from .critical import GridSpec, RefinementError, refine_critical_point_3d
 from .domains import PlanarDomain
 from .hyperbolic import H3Point
-from .measure import QuadratureConfig, harmonic_measure, measure_with_gradient
-from .runio import pmap
+from .measure import QuadratureConfig, measure_many, measure_with_gradient
 
 __all__ = [
     "FramePoint",
@@ -89,17 +88,15 @@ class FormSample:
         }
 
 
-def sd_form_norm(domain: PlanarDomain, config, p: H3Point,
-                 quad: QuadratureConfig = QuadratureConfig(),
-                 shells: int = 6) -> FormSample:
+def sd_form_norm(domain: PlanarDomain, p: H3Point,
+                 quad: QuadratureConfig = QuadratureConfig()) -> FormSample:
     """Pointwise norm of the self-dual form attached to the measure of ``domain``.
 
-    ``config`` (a point configuration fixing V) and ``shells`` are accepted
-    for interface symmetry but the norms do not depend on them: the V-factors
-    cancel between the coframe weights and the form's components.  The
-    hyperbolic norm of the measure differential is z |grad f|.
+    The norm does not depend on the point configuration fixing V, nor on the
+    connection: the V-factors cancel between the coframe weights and the
+    form's components.  The hyperbolic norm of the measure differential is
+    z |grad f|.
     """
-    del config, shells  # norms are independent of the potential and connection
     _, grad, _ = measure_with_gradient(domain, p, quad)
     psi = p.z * float(np.linalg.norm(grad))
     return FormSample.from_psi_norm(p, psi)
@@ -223,11 +220,9 @@ def boundary_expansion_check(domain: PlanarDomain, boundary_foot: complex,
         raise ValueError("foot point is not inside the region")
     if side == "outside" and inside:
         raise ValueError("foot point is not outside the region")
-    residuals = []
-    for z in zs:
-        p = H3Point(boundary_foot.real, boundary_foot.imag, z)
-        f = harmonic_measure(domain, p, config).value
-        residuals.append(1.0 - f if side == "inside" else f)
+    pts = [H3Point(boundary_foot.real, boundary_foot.imag, z) for z in zs]
+    residuals = [1.0 - mv.value if side == "inside" else mv.value
+                 for mv in measure_many(domain, pts, config)]
     if any(r <= 0 for r in residuals):
         raise ValueError("nonpositive residual; heights outside the regime")
     slope, intercept = np.polyfit(np.log(zs), np.log(residuals), 1)
@@ -265,24 +260,20 @@ class ZeroLocusReport:
 
 def form_norm_grid(domain: PlanarDomain, grid: GridSpec,
                    quad: QuadratureConfig = QuadratureConfig(),
-                   u_mode: str = "height", threads: int = 1):
+                   u_mode: str = "height"):
     """Rows (x, y, z, omega_norm_g0, weighted_norm) over a search grid.
 
-    The plotting-friendly flat table behind :func:`zero_locus_report`;
+    The flat table behind :func:`zero_locus_report`, in grid order;
     ``weighted_norm`` is omega_norm / u^2 for the chosen defining function.
     """
-    xs, ys, zs = grid.axes()
-    pts = [H3Point(float(x), float(y), float(z))
-           for x in xs for y in ys for z in zs]
-
-    def row(p):
-        mv, g, _ = measure_with_gradient(domain, p, quad)
-        omega = SQRT2 * p.z * float(np.linalg.norm(g))
+    pts = grid.points()
+    values, grads, _ = measure_many(domain, pts, quad, gradient=True)
+    rows = []
+    for p, mv, g in zip(pts, values, grads):
+        omega = SQRT2 * (p.z * float(np.linalg.norm(g)))
         u = _defining_u(u_mode, p, mv.value)
-        weighted = omega / u**2 if u > 0 else math.inf
-        return (p.x, p.y, p.z, omega, weighted)
-
-    return pmap(row, pts, threads)
+        rows.append((p.x, p.y, p.z, omega, omega / u**2 if u > 0 else math.inf))
+    return rows
 
 
 def _defining_u(mode: str, p: H3Point, f_value: float) -> float:
@@ -304,24 +295,16 @@ def zero_locus_report(domain: PlanarDomain, grid: GridSpec,
     vanishes at interior critical points, so near-boundary samples are
     excluded automatically.  Each sub-threshold cluster is refined by the
     Newton search; cross_referenced records whether clusters and refined
-    critical points match up one-to-one.
+    critical points match up one-to-one.  ``threads`` is accepted and has no
+    effect.
     """
     if threshold is None:
         threshold = 10.0 * quad.tolerance
-    xs, ys, zs = grid.axes()
-    shape = (len(xs), len(ys), len(zs))
-    pts = [H3Point(float(x), float(y), float(z))
-           for x in xs for y in ys for z in zs]
-
-    def weighted(p):
-        mv, g, _ = measure_with_gradient(domain, p, quad)
-        psi = p.z * float(np.linalg.norm(g))
-        u = _defining_u(u_mode, p, mv.value)
-        return SQRT2 * psi, (SQRT2 * psi / u**2 if u > 0 else math.inf)
-
-    results = pmap(weighted, pts, threads)
-    flat_hits = [i for i, (_, w) in enumerate(results) if w < threshold]
-    samples = tuple(FormSample(pts[i], results[i][0], results[i][0] / SQRT2)
+    shape = tuple(len(axis) for axis in grid.axes())
+    rows = form_norm_grid(domain, grid, quad, u_mode)
+    flat_hits = [i for i, row in enumerate(rows) if row[4] < threshold]
+    samples = tuple(FormSample(H3Point(*rows[i][:3]), rows[i][3],
+                               rows[i][3] / SQRT2)
                     for i in flat_hits)
 
     # cluster grid-adjacent hits (6-neighborhood in index space)

@@ -27,7 +27,7 @@ import numpy as np
 from .domains import PlanarDomain
 from .hyperbolic import (H3Point, apply_h3_batch, geodesic_point, h3_distance,
                          h3_distance_batch, MobiusMap)
-from .measure import QuadratureConfig, harmonic_measure
+from .measure import QuadratureConfig, harmonic_measure, measure_many
 
 __all__ = [
     "PointConfiguration",
@@ -240,15 +240,13 @@ def quantization_sum(domain: PlanarDomain, config: PointConfiguration,
     0 < ell < k.  A single point can never be quantizable: its value lies
     strictly between 0 and 1.
     """
-    values, errors = [], []
     if config.f_values is not None:
         values = list(config.f_values)
         errors = list(config.f_errors or (0.0,) * len(values))
     else:
-        for p in config.points:
-            mv = harmonic_measure(domain, p, config_q)
-            values.append(mv.value)
-            errors.append(mv.error)
+        mvs = measure_many(domain, config.points, config_q)
+        values = [mv.value for mv in mvs]
+        errors = [mv.error for mv in mvs]
     total = math.fsum(values)
     ell = round(total)
     quantizable = abs(total - ell) < tol and 0 < ell < len(config.points)
@@ -339,13 +337,10 @@ def find_quantizable(domain: PlanarDomain, k: int, ell: int,
     tight = QuadratureConfig(
         tolerance=min(config_q.tolerance, 2.5e-10 / k),
         max_depth=config_q.max_depth, cutoff=config_q.cutoff)
-    points, values, errors = [], [], []
-    for foot, target in zip(_interior_feet(domain, k), targets):
-        z_star = _bisect_level(domain, foot, target, tight)
-        p = H3Point(foot.real, foot.imag, z_star)
-        mv = harmonic_measure(domain, p, tight)
-        points.append(p)
-        values.append(mv.value)
-        errors.append(mv.error)
-    return PointConfiguration(points=tuple(points), f_values=tuple(values),
-                              f_errors=tuple(errors))
+    points = tuple(H3Point(foot.real, foot.imag,
+                           _bisect_level(domain, foot, target, tight))
+                   for foot, target in zip(_interior_feet(domain, k), targets))
+    mvs = measure_many(domain, points, tight)
+    return PointConfiguration(points=points,
+                              f_values=tuple(mv.value for mv in mvs),
+                              f_errors=tuple(mv.error for mv in mvs))

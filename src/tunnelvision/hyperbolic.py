@@ -31,8 +31,6 @@ __all__ = [
     "halfplane_to_disk",
     "geodesic_point",
     "laplace_beltrami",
-    "mobius_apply_boundary",
-    "mobius_apply_h3",
     "apply_h3_batch",
 ]
 
@@ -180,14 +178,6 @@ class MobiusMap:
         w2 = ((self.a * w + self.b) * cw_d.conjugate()
               + self.a * self.c.conjugate() * p.z**2) / den
         return H3Point(w2.real, w2.imag, p.z / den)
-
-
-def mobius_apply_boundary(m: MobiusMap, zeta: complex) -> complex:
-    return m.apply_boundary(zeta)
-
-
-def mobius_apply_h3(m: MobiusMap, p: H3Point) -> H3Point:
-    return m.apply_h3(p)
 
 
 def h3_distance(p: H3Point, q: H3Point) -> float:

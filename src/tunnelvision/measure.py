@@ -19,6 +19,10 @@ by adaptive Gauss-Kronrod seeded at the known kink angles.  Gradients use
 the analytically differentiated kernel, whose radial antiderivatives are
 also closed-form, on the same partition.
 
+Every evaluation goes through :func:`measure_many`, which refines the
+angular integrals of all its points together; each point's result does not
+depend on the points evaluated with it.
+
 Error accounting is the accumulated Kronrod-Gauss deviation of the angular
 integral; the radial direction contributes only roundoff.
 """
@@ -27,12 +31,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .domains import PlanarDomain
 from .hyperbolic import H3Point
-from .quadrature import adaptive_integrate
+from .quadrature import adaptive_integrate, integrate_many
 
 __all__ = [
     "QuadratureConfig",
@@ -41,6 +46,7 @@ __all__ = [
     "poisson_kernel",
     "kernel_mass",
     "harmonic_measure",
+    "measure_many",
     "measure_gradient",
     "measure_with_gradient",
     "halfplane_closed_form",
@@ -83,11 +89,10 @@ class QuadratureConfig:
 
 @dataclass(frozen=True)
 class MeasureValue:
-    """A measure evaluation: value, error estimate, and kernel mass captured."""
+    """A measure evaluation: value, error estimate, and convergence flag."""
 
     value: float
     error: float
-    kernel_mass: float
     converged: bool = True
 
 
@@ -111,81 +116,98 @@ def disk_closed_form(rho: float, z: float) -> float:
     return rho * rho / (rho * rho + z * z)
 
 
+# Radial antiderivatives along a ray at height z, t the distance from the foot.
+
+def _cdf(t, z):
+    """Of the kernel's radial mass: t^2/(t^2+z^2)."""
+    return t * t / (t * t + z * z)
+
+
+def _ix(t, z):
+    """For d/dx, d/dy: integral of t^2 (t^2+z^2)^-3 dt."""
+    t2z = t * t + z * z
+    return (0.25 * (t / (2.0 * z * z * t2z) + np.arctan(t / z) / (2.0 * z * z * z))
+            - t / (4.0 * t2z * t2z))
+
+
+def _iz(t, z):
+    """For d/dz: -z t^2/(t^2+z^2)^2."""
+    t2z = t * t + z * z
+    return -z * t * t / (t2z * t2z)
+
+
+def _column(a):
+    """Per-row values as a column against (rows, k) arrays; scalars as they are."""
+    return a[:, None] if isinstance(a, np.ndarray) else a
+
+
 class _RayIntegrand:
-    """Angular integrand(s) of the polar decomposition about the foot point.
+    """Angular integrand(s) of the polar decomposition about each foot point.
 
-    For a batch of angles returns columns
-
-        [measure density, d/dx, d/dy, d/dz, kernel-mass density]
-
-    (gradient columns only when requested).  Radial integrals between
+    Built for a batch of points; called with angles and, per angle, the index
+    of the point whose ray it is.  Returns the measure density, then d/dx,
+    d/dy, d/dz when the gradient is requested.  Radial integrals between
     successive boundary crossings use the closed-form antiderivatives of the
     kernel and of its Cartesian derivatives, including the exact semi-infinite
-    tail beyond the last crossing.
+    tail beyond the last crossing.  Every row depends only on its own angle
+    and point.
     """
 
-    def __init__(self, domain: PlanarDomain, p: H3Point, cutoff: float,
+    def __init__(self, domain: PlanarDomain, points, cutoff: float,
                  want_gradient: bool):
         self.domain = domain
-        self.foot = p.foot
-        self.z = p.z
+        self.foot = np.array([p.foot for p in points])
+        self.z = np.array([p.z for p in points])
+        feet = set(self.foot.tolist())
+        self.shared_foot = feet.pop() if len(feet) == 1 else None
         self.want_gradient = want_gradient
         r = domain.bounding_radius
-        base = abs(self.foot) + p.z + (r if math.isfinite(r) else 1.0)
-        self.far_pad = cutoff * max(p.z, base)
+        base = np.abs(self.foot) + self.z + (r if math.isfinite(r) else 1.0)
+        self.far_pad = cutoff * np.maximum(self.z, base)
 
-    # antiderivative of the kernel's radial mass: cdf(t) = t^2/(t^2+z^2)
-    def _cdf(self, t):
-        return t * t / (t * t + self.z**2)
-
-    # antiderivative for d/dx, d/dy: integral of t^2 (t^2+z^2)^-3 dt
-    def _ix(self, t):
-        z = self.z
-        t2z = t * t + z * z
-        return (0.25 * (t / (2.0 * z * z * t2z) + np.arctan(t / z) / (2.0 * z**3))
-                - t / (4.0 * t2z * t2z))
-
-    # antiderivative for d/dz: -z t^2/(t^2+z^2)^2
-    def _iz(self, t):
-        t2z = t * t + self.z**2
-        return -self.z * t * t / (t2z * t2z)
-
-    def __call__(self, phis: np.ndarray) -> np.ndarray:
-        z = self.z
+    def __call__(self, phis: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        # a foot shared by all points (one point, or heights on one vertical
+        # line) and the height of a single point enter as scalars; scalars
+        # give each row the same bits as per-row arrays, and cost less
+        foot = self.foot[rows] if self.shared_foot is None else self.shared_foot
+        z, far_pad = ((self.z[0], self.far_pad[0]) if len(self.z) == 1
+                      else (self.z[rows], self.far_pad[rows]))
         dirs = np.exp(1j * phis)
-        ts = self.domain.ray_crossings(self.foot, dirs)
+        ts = self.domain.ray_crossings(foot, dirs)
         ts[~(ts > 0.0)] = np.nan
         ts = np.sort(ts, axis=1)  # NaN sorts last
-        finite_max = np.nanmax(ts, initial=0.0)
-        t_far = 1.5 * finite_max + self.far_pad
-        ts = np.where(np.isnan(ts), t_far, ts)
+        # far radius per ray: beyond every crossing of this ray
+        t_far = 1.5 * np.fmax.reduce(ts, axis=1, initial=0.0) + far_pad
+        ts = np.where(np.isnan(ts), t_far[:, None], ts)
         edges = np.concatenate([np.zeros((len(phis), 1)), ts], axis=1)
 
         mids = 0.5 * (edges[:, :-1] + edges[:, 1:])
-        inside = self.domain.contains(self.foot + mids * dirs[:, None])
-        probe = self.foot + (2.0 * t_far) * dirs
-        inside_tail = self.domain.contains(probe)
+        inside = self.domain.contains(_column(foot) + mids * dirs[:, None])
+        inside_tail = self.domain.contains(foot + (2.0 * t_far) * dirs)
 
-        cdf = self._cdf(edges)
-        d_val = np.where(inside, np.diff(cdf, axis=1), 0.0).sum(axis=1)
+        def inside_sum(antiderivative):
+            # sum of the antiderivative's increments over the inside pieces
+            steps = antiderivative[:, 1:] - antiderivative[:, :-1]
+            return np.where(inside, steps, 0.0).sum(axis=1)
+
+        cdf = _cdf(edges, _column(z))
+        d_val = inside_sum(cdf)
         d_val += np.where(inside_tail, 1.0 - cdf[:, -1], 0.0)
+        if not self.want_gradient:
+            return d_val / _TWO_PI
 
-        ncols = 5 if self.want_gradient else 2
-        out = np.empty((len(phis), ncols))
+        out = np.empty((len(phis), 4))
         out[:, 0] = d_val / _TWO_PI
-        out[:, -1] = 1.0 / _TWO_PI  # kernel-mass density: exact per-ray mass 1
-
-        if self.want_gradient:
-            ix = self._ix(edges)
-            dix = np.where(inside, np.diff(ix, axis=1), 0.0).sum(axis=1)
-            dix += np.where(inside_tail, math.pi / (16.0 * z**3) - ix[:, -1], 0.0)
-            radial = (4.0 * z * z / math.pi) * dix
-            out[:, 1] = radial * np.cos(phis)
-            out[:, 2] = radial * np.sin(phis)
-            iz = self._iz(edges)
-            diz = np.where(inside, np.diff(iz, axis=1), 0.0).sum(axis=1)
-            diz += np.where(inside_tail, -iz[:, -1], 0.0)
-            out[:, 3] = diz / math.pi
+        ix = _ix(edges, _column(z))
+        dix = inside_sum(ix)
+        dix += np.where(inside_tail, math.pi / (16.0 * z * z * z) - ix[:, -1], 0.0)
+        radial = (4.0 * z * z / math.pi) * dix
+        out[:, 1] = radial * np.cos(phis)
+        out[:, 2] = radial * np.sin(phis)
+        iz = _iz(edges, _column(z))
+        diz = inside_sum(iz)
+        diz += np.where(inside_tail, -iz[:, -1], 0.0)
+        out[:, 3] = diz / math.pi
         return out
 
 
@@ -196,11 +218,31 @@ def _angular_breakpoints(domain: PlanarDomain, foot: complex) -> list[float]:
     return sorted(angles)
 
 
-def _integrate(domain, p, config, want_gradient):
-    integrand = _RayIntegrand(domain, p, config.cutoff, want_gradient)
-    bps = _angular_breakpoints(domain, p.foot)
-    return adaptive_integrate(integrand, 0.0, _TWO_PI, config.tolerance,
-                              breakpoints=bps, max_rounds=config.max_depth)
+def measure_many(domain: PlanarDomain, points,
+                 config: QuadratureConfig = QuadratureConfig(),
+                 gradient: bool = False):
+    """Harmonic measure of ``domain`` at every point of ``points``.
+
+    Returns a list of MeasureValue, one per point, in order.  With
+    ``gradient=True`` returns ``(values, gradients (n, 3), gradient errors
+    (n, 3))``; the gradient integrates the differentiated kernel on the
+    value's partition, it is not a finite difference.  Each point's result is
+    the same as when it is evaluated alone.
+    """
+    points = list(points)
+    kinks = cache(lambda foot: _angular_breakpoints(domain, foot))  # per foot
+    bps = [kinks(p.foot) for p in points]
+    integrand = _RayIntegrand(domain, points, config.cutoff, gradient)
+    res = integrate_many(integrand, 0.0, _TWO_PI, config.tolerance, bps,
+                         max_rounds=config.max_depth)
+    values = [MeasureValue(value=min(max(float(r.value[0]), 0.0), 1.0),
+                           error=float(r.error[0]), converged=r.converged)
+              for r in res]
+    if not gradient:
+        return values
+    grads = np.array([r.value[1:4] for r in res]).reshape(-1, 3)
+    errs = np.array([r.error[1:4] for r in res]).reshape(-1, 3)
+    return values, grads, errs
 
 
 def harmonic_measure(domain: PlanarDomain, p: H3Point,
@@ -211,25 +253,17 @@ def harmonic_measure(domain: PlanarDomain, p: H3Point,
     when the angular refinement hit its depth limit before certifying the
     tolerance (the best estimate is still returned).
     """
-    res = _integrate(domain, p, config, want_gradient=False)
-    value = min(max(float(res.value[0]), 0.0), 1.0)
-    return MeasureValue(value=value, error=float(res.error[0]),
-                        kernel_mass=float(res.value[-1]), converged=res.converged)
+    return measure_many(domain, [p], config)[0]
 
 
 def measure_with_gradient(domain: PlanarDomain, p: H3Point,
                           config: QuadratureConfig = QuadratureConfig()):
     """Measure and its Euclidean gradient in one pass over a shared partition.
 
-    Returns ``(MeasureValue, gradient (3,), gradient_error (3,))``.  The
-    gradient integrates the differentiated kernel; it is not a finite
-    difference of the value.
+    Returns ``(MeasureValue, gradient (3,), gradient_error (3,))``.
     """
-    res = _integrate(domain, p, config, want_gradient=True)
-    value = min(max(float(res.value[0]), 0.0), 1.0)
-    mv = MeasureValue(value=value, error=float(res.error[0]),
-                      kernel_mass=float(res.value[-1]), converged=res.converged)
-    return mv, res.value[1:4].copy(), res.error[1:4].copy()
+    values, grads, errs = measure_many(domain, [p], config, gradient=True)
+    return values[0], grads[0], errs[0]
 
 
 def measure_gradient(domain: PlanarDomain, p: H3Point,

@@ -1,10 +1,10 @@
-"""Run manifests, deterministic JSON/CSV writers, and the worker pool cap.
+"""Run manifests and deterministic JSON/CSV writers.
 
 All floating-point output is written with 17 significant digits so files
 round-trip exactly.  CSV files use comma separators, '.' decimal points and
-LF line endings.  Parallelism only distributes independent evaluations whose
-results are reduced with exactly rounded sums, so outputs are byte-identical
-for any thread count.
+LF line endings.  Everything runs in the calling thread: multi-point work is
+batched inside the measure quadrature instead of spread over a pool, so
+outputs are byte-identical from run to run.
 """
 
 from __future__ import annotations
@@ -14,37 +14,17 @@ import math
 import numbers
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 __version__ = "0.1.0"
 
-__all__ = ["RunManifest", "dump_json", "write_json", "write_csv",
-           "thread_count", "pmap", "__version__"]
-
-
-def thread_count(requested: int | None = None) -> int:
-    """Resolve the worker cap: flag, then TUNNELVISION_THREADS, then all cores."""
-    if requested is not None and requested >= 1:
-        return requested
-    env = os.environ.get("TUNNELVISION_THREADS")
-    if env:
-        try:
-            n = int(env)
-            if n >= 1:
-                return n
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+__all__ = ["RunManifest", "dump_json", "write_json", "write_csv", "pmap",
+           "__version__"]
 
 
 def pmap(fn, items, threads: int = 1):
-    """Ordered map over independent items, optionally on a thread pool."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+    """Ordered map over items in the calling thread; ``threads`` has no effect."""
+    return [fn(it) for it in items]
 
 
 def _fmt_float(v: float) -> str:
@@ -124,6 +104,7 @@ class RunManifest:
 
     def finish(self, started: float, out_dir: str, stem: str):
         self.wall_time_s = time.monotonic() - started
+        os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(out_dir, f"{stem}.manifest.json")
         write_json(path, self.to_obj())
         return path

@@ -7,7 +7,7 @@ import pytest
 
 import tunnelvision
 from tunnelvision.cli import main
-from tunnelvision.runio import dump_json, thread_count
+from tunnelvision.runio import dump_json
 
 SCHEMA_DIR = os.path.join(os.path.dirname(tunnelvision.__file__), "schemas")
 
@@ -51,6 +51,16 @@ def test_measure_disk(disk_json, tmp_path, capsys):
     manifest = json.loads((tmp_path / "measure.manifest.json").read_text())
     _schema("manifest.schema.json")(manifest)
     assert manifest["command"] == "measure"
+
+
+def test_measure_creates_out_dir(disk_json, tmp_path, capsys):
+    out_dir = tmp_path / "new" / "run"
+    rc = main(["measure", "--domain", disk_json, "--point", "0", "0", "1",
+               "--out-dir", str(out_dir)])
+    assert rc == 0
+    assert len(capsys.readouterr().out.split()) == 2
+    manifest = json.loads((out_dir / "measure.manifest.json").read_text())
+    _schema("manifest.schema.json")(manifest)
 
 
 def test_measure_malformed_json(tmp_path, capsys):
@@ -198,16 +208,6 @@ def test_quantize_cli(dogbone_json, tmp_path):
     assert len(obj["points"]) == 2
     assert main(["quantize", "--domain", dogbone_json, "--k", "2", "--ell",
                  "2", "--out-dir", str(tmp_path)]) == 1
-
-
-def test_thread_count_resolution(monkeypatch):
-    assert thread_count(3) == 3
-    monkeypatch.setenv("TUNNELVISION_THREADS", "2")
-    assert thread_count(None) == 2
-    monkeypatch.setenv("TUNNELVISION_THREADS", "junk")
-    assert thread_count(None) == (os.cpu_count() or 1)
-    monkeypatch.delenv("TUNNELVISION_THREADS")
-    assert thread_count(None) == (os.cpu_count() or 1)
 
 
 def test_dump_json_17_digits():

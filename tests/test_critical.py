@@ -13,6 +13,18 @@ from tunnelvision.measure import (QuadratureConfig, harmonic_measure,
 CFG = QuadratureConfig(tolerance=1e-9)
 
 
+def test_verdict_axis_extrema_conclusive():
+    # the f margins of the eps=0.1 minimum are within the noise of f, but
+    # df/dz at the bracket ends is far outside its error bars
+    d = dogbone(0.1)
+    verdict = almost_kahler_verdict(d, GridSpec.for_domain(d, 6))
+    axis = {r.classification: r for r in verdict.reports
+            if r.classification.startswith("axis-")}
+    assert sorted(axis) == ["axis-max", "axis-min"]
+    assert all(r.conclusive for r in axis.values())
+    assert verdict.status == "critical_points_found"
+
+
 @pytest.fixture(scope="module")
 def dogbone_run():
     return dogbone_experiment(0.1, CFG, n_samples=200)

@@ -9,7 +9,6 @@ from tunnelvision.forms import (FormSample, FramePoint, form_norm_grid,
                                 _hodge_star_matrix, boundary_expansion_check,
                                 sd_form_norm, selfdual_algebra_check,
                                 zero_locus_report)
-from tunnelvision.greens import PointConfiguration
 from tunnelvision.hyperbolic import H3Point
 from tunnelvision.measure import QuadratureConfig
 
@@ -36,7 +35,7 @@ def test_sd_norm_halfplane_prototype():
     s = math.hypot(p.y, p.z)
     grad = np.array([0.0, p.z**2 / (2 * s**3), -p.y * p.z / (2 * s**3)])
     expected_psi = p.z * float(np.linalg.norm(grad))
-    sample = sd_form_norm(HalfPlane(1j, 0.0), None, p, CFG)
+    sample = sd_form_norm(HalfPlane(1j, 0.0), p, CFG)
     assert sample.psi_norm_h == pytest.approx(expected_psi, abs=1e-8)
     assert sample.omega_norm_g0 == pytest.approx(SQRT2 * expected_psi,
                                                  abs=1e-8)
@@ -46,18 +45,8 @@ def test_sd_norm_vanishes_at_critical_point(dogbone01, quad_cfg):
     from tunnelvision.critical import dogbone_experiment
     report, _ = dogbone_experiment(0.1, quad_cfg, n_samples=120)
     cp = report.critical_points[0]
-    sample = sd_form_norm(dogbone01, None, cp.location, quad_cfg)
+    sample = sd_form_norm(dogbone01, cp.location, quad_cfg)
     assert sample.omega_norm_g0 < 1e-6
-
-
-def test_sd_norm_independent_of_configuration(dogbone01):
-    p = H3Point(0.2, 0.1, 0.9)
-    no_config = sd_form_norm(dogbone01, None, p, CFG)
-    with_config = sd_form_norm(
-        dogbone01,
-        PointConfiguration(points=(H3Point(0, 0, 1), H3Point(0.5, 0, 2))),
-        p, CFG, shells=3)
-    assert no_config.omega_norm_g0 == with_config.omega_norm_g0
 
 
 def test_selfdual_model_form():

@@ -1,16 +1,17 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from tunnelvision.domains import Disk, HalfPlane, Union
+from tunnelvision.domains import Difference, Disk, HalfPlane, Union, dogbone
 from tunnelvision.hyperbolic import H3Point, laplace_beltrami
 from tunnelvision.measure import (MeasureValue, QuadratureConfig,
                                   disk_closed_form, halfplane_closed_form,
                                   harmonic_measure, kernel_mass,
-                                  measure_gradient, measure_with_gradient,
-                                  poisson_kernel)
+                                  measure_gradient, measure_many,
+                                  measure_with_gradient, poisson_kernel)
 
 CFG = QuadratureConfig(tolerance=1e-9)
 
@@ -99,11 +100,16 @@ def test_measure_matches_disk_closed_form():
 
 
 def test_measure_value_invariants(dogbone01):
-    mv = harmonic_measure(dogbone01, H3Point(0.2, 0.1, 0.8), CFG)
+    p = H3Point(0.2, 0.1, 0.8)
+    mv = harmonic_measure(dogbone01, p, CFG)
     assert 0.0 <= mv.value <= 1.0 + mv.error
-    assert mv.kernel_mass <= 1.0 + CFG.tolerance
     assert mv.converged
     assert isinstance(mv, MeasureValue)
+    # the region and its complement (the plane off the real axis, a null
+    # set, minus the region) share the kernel's unit mass
+    plane = Union(HalfPlane(1j, 0.0), HalfPlane(-1j, 0.0))
+    rest = harmonic_measure(Difference(plane, dogbone01), p, CFG)
+    assert abs(mv.value + rest.value - 1.0) <= mv.error + rest.error
 
 
 def test_kernel_mass_certifies_even_when_cramped():
@@ -123,6 +129,29 @@ def test_nonconvergence_is_flagged(dogbone01):
     assert mv.value == pytest.approx(
         harmonic_measure(dogbone01, H3Point(0.3, 0.2, 0.7), CFG).value,
         abs=1e-6)
+
+
+def test_batched_matches_one_point_calls():
+    # one batched call and one call per point give identical bits, for a
+    # batch on one vertical line and a batch on distinct lines, converged or not
+    domains = [dogbone(0.1), Union(HalfPlane(1j, 0.0), Disk(0.5, 0.3))]
+    pts = [H3Point(0, 0, 1), H3Point(0, 0, 0.2), H3Point(0.3, 0.2, 0.7),
+           H3Point(-1.0, 0.1, 0.05), H3Point(0.3, 0.2, 2.5),
+           H3Point(2.0, -1.0, 3.0)]
+    cramped = QuadratureConfig(tolerance=1e-18, max_depth=2)
+    flags = set()
+    for domain, cfg, batch in itertools.product(
+            domains, (QuadratureConfig(), cramped), (pts[:2], pts)):
+        values, grads, errs = measure_many(domain, batch, cfg, gradient=True)
+        assert measure_many(domain, batch, cfg) == [
+            harmonic_measure(domain, p, cfg) for p in batch]
+        for p, mv, g, e in zip(batch, values, grads, errs):
+            mv1, g1, e1 = measure_with_gradient(domain, p, cfg)
+            assert mv == mv1
+            assert np.array_equal(g, g1) and np.array_equal(e, e1)
+            flags.add(mv.converged)
+    assert flags == {True, False}
+    assert measure_many(domains[0], [], CFG) == []
 
 
 def test_monotonicity_nested(rng):
