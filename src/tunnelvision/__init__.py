@@ -12,15 +12,14 @@ links critical points to zeros of the associated harmonic 2-form.
 from .runio import __version__
 
 from .hyperbolic import (H3Point, DiskPoint, MobiusMap, INFINITY, h3_distance,
-                         disk_distance, disk_to_h3, disk_to_halfplane,
-                         halfplane_to_disk, laplace_beltrami)
+                         disk_distance, disk_to_h3, laplace_beltrami)
 from .domains import (PlanarDomain, Disk, HalfPlane, SimplePolygon, Union,
                       Intersection, Difference, DogboneSpec, dogbone,
                       reflection_symmetric, hausdorff_distance,
                       boundary_points, domain_from_obj)
 from .measure import (QuadratureConfig, MeasureValue, QuadratureError,
                       poisson_kernel, kernel_mass, harmonic_measure,
-                      measure_many, measure_gradient, measure_with_gradient,
+                      measure_many, measure_with_gradient,
                       halfplane_closed_form, disk_closed_form)
 from .critical import (AxisProfile, CriticalPointReport, Verdict, GridSpec,
                        RefinementError, axis_profile, axis_critical_points,

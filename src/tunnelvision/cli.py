@@ -151,7 +151,7 @@ def cmd_profile(args) -> int:
                     {"domain": args.domain, "z_min": args.z_min,
                      "z_max": args.z_max, "n": args.n}, [args.out])
     man.finish(started, args.out_dir, "profile")
-    return EXIT_OK
+    return EXIT_OK if prof.converged.all() else EXIT_INCONCLUSIVE
 
 
 def cmd_critical(args) -> int:

@@ -26,8 +26,8 @@ import numpy as np
 
 from .domains import PlanarDomain, reflection_symmetric
 from .hyperbolic import H3Point
-from .measure import (MeasureValue, QuadratureConfig, harmonic_measure,
-                      measure_many, measure_with_gradient)
+from .measure import (MeasureValue, QuadratureConfig, measure_many,
+                      measure_with_gradient)
 
 __all__ = [
     "AxisProfile",
@@ -53,11 +53,15 @@ class RefinementError(RuntimeError):
 
 @dataclass(frozen=True)
 class AxisProfile:
-    """Samples of the measure along the vertical axis (0, 0, z)."""
+    """Samples of the measure along the vertical axis (0, 0, z).
+
+    ``converged`` flags the samples whose quadrature certified its tolerance.
+    """
 
     z: np.ndarray
     f: np.ndarray
     err: np.ndarray
+    converged: np.ndarray
 
     def __post_init__(self):
         if len(self.z) < 2 or np.any(np.diff(self.z) <= 0):
@@ -159,7 +163,8 @@ def axis_profile(domain: PlanarDomain, z_min: float, z_max: float, n: int,
     vals = measure_many(domain, _axis_points(zs.tolist()), config)
     return AxisProfile(z=zs,
                        f=np.array([v.value for v in vals]),
-                       err=np.array([v.error for v in vals]))
+                       err=np.array([v.error for v in vals]),
+                       converged=np.array([v.converged for v in vals]))
 
 
 def _require_axis_symmetric(domain: PlanarDomain):
@@ -170,30 +175,32 @@ def _require_axis_symmetric(domain: PlanarDomain):
                          "invariant under zeta -> -zeta; symmetry check failed")
 
 
-def _golden_section(fun, a, b, tol, maximize):
-    """Standard golden-section search on [a, b]; returns (x, fun(x))."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    sign = -1.0 if maximize else 1.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = sign * fun(c), sign * fun(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = sign * fun(c)
+def _bracketed_root(g, a, b, ga, gb, xtol):
+    """Zero of ``g`` between a and b by Illinois false position.
+
+    ``ga = g(a)`` and ``gb = g(b)`` must have opposite signs.  Returns the
+    midpoint of a bracket no wider than ``xtol``.  b is the latest iterate,
+    and the value at the other end is halved each time that end is kept
+    (Dowell & Jarratt, BIT 1971); steps stay ``xtol / 2`` clear of the ends.
+    """
+    while abs(b - a) > xtol:
+        lo, hi = min(a, b), max(a, b)
+        c = min(max(b - gb * (b - a) / (gb - ga), lo + 0.5 * xtol),
+                hi - 0.5 * xtol)
+        gc = g(c)
+        if gc == 0.0:
+            return c
+        if (gc < 0.0) != (gb < 0.0):
+            a, ga = b, gb
         else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = sign * fun(d)
-    x = 0.5 * (a + b)
-    return x
+            ga *= 0.5
+        b, gb = c, gc
+    return 0.5 * (a + b)
 
 
-def _hessian_at(domain, p, config, h=None):
+def _hessian_at(domain, p, config):
     """Coordinate Hessian of the measure by central differences of the gradient."""
-    if h is None:
-        h = max(1e-4, 2e-3 * p.z)
+    h = max(1e-4, 2e-3 * p.z)
     base = p.as_array()
     pts = [H3Point(*(base + s)) for d in h * np.eye(3) for s in (d, -d)]
     grads = measure_many(domain, pts, config, gradient=True)[1]
@@ -222,11 +229,14 @@ def axis_critical_points(profile: AxisProfile, domain: PlanarDomain,
                          config: QuadratureConfig = QuadratureConfig()):
     """Locate and classify interior extrema of the axis profile.
 
-    Sign changes of the discrete derivative are bracketed and refined by
-    golden-section search on the measure itself.  An extremum is
-    ``conclusive`` when the analytic derivative df/dz at the two bracket ends
-    has the expected opposite signs beyond its error bars, which proves a
-    zero of df/dz inside the bracket.
+    A sign change of the discrete derivative of the profile between z[i] and
+    z[i+2] brackets an extremum.  The analytic derivative df/dz at the two
+    bracket ends (one batched evaluation for all brackets) seeds a bracketed
+    root solve of df/dz to within ``refine_tol``; when the two end slopes do
+    not have opposite signs there is nothing to solve, and the middle sample
+    z[i+1] is reported.  An extremum is ``conclusive`` when both bracket-end
+    evaluations converged and their slopes have the expected opposite signs
+    beyond their error bars, which proves a zero of df/dz inside the bracket.
 
     The domain must be bounded and pass the reflection-symmetry check;
     otherwise axis extrema would not be critical points of the 3-space
@@ -239,20 +249,23 @@ def axis_critical_points(profile: AxisProfile, domain: PlanarDomain,
                 if df[i] != 0.0 and df[i] * df[i + 1] < 0.0]
     # df/dz at both ends of every bracket, in one batched evaluation
     ends = _axis_points(z[i + k] for i in brackets for k in (0, 2))
-    _, grads, gerrs = measure_many(domain, ends, config, gradient=True)
+    mvs, grads, gerrs = measure_many(domain, ends, config, gradient=True)
     slope = grads[:, 2].reshape(-1, 2)
     slope_err = gerrs[:, 2].reshape(-1, 2)
+    converged = np.array([mv.converged for mv in mvs]).reshape(-1, 2)
 
-    def fun(zz):
-        return harmonic_measure(domain, H3Point(0.0, 0.0, zz), config).value
+    def dfdz(zz):
+        return measure_with_gradient(domain, H3Point(0.0, 0.0, zz), config)[1][2]
 
     reports = []
-    for i, (ga, gb), (ea, eb) in zip(brackets, slope, slope_err):
+    for i, (ga, gb), (ea, eb), ok in zip(brackets, slope, slope_err, converged):
         is_max = df[i] > 0.0
         sign = 1.0 if is_max else -1.0  # f rises into a max, falls into a min
-        conclusive = bool(sign * ga > ea and sign * gb < -eb)
-        z_star = _golden_section(fun, z[i], z[i + 2], refine_tol,
-                                 maximize=is_max)
+        conclusive = bool(ok.all() and sign * ga > ea and sign * gb < -eb)
+        if ga * gb < 0.0:
+            z_star = _bracketed_root(dfdz, z[i], z[i + 2], ga, gb, refine_tol)
+        else:
+            z_star = z[i + 1]
         reports.append(_axis_report(domain, z_star,
                                     "axis-max" if is_max else "axis-min",
                                     config, refine_tol, conclusive))
@@ -292,9 +305,10 @@ def dogbone_experiment(epsilon: float,
     Computes the measure at heights epsilon and 1 on the axis with error
     estimates, decides the strict inequality f(0,0,eps) < f(0,0,1) only when
     the error bars do not overlap, and searches the axis window
-    [epsilon^2, 10] for critical points.  Returns a DogboneReport together
-    with the axis profile used for the search.  ``threads`` is accepted and
-    has no effect.
+    [epsilon^2, 10] for critical points.  The report is ``inconclusive``
+    when the error bars overlap or when f(eps), f(1) or any profile sample
+    did not converge.  Returns a DogboneReport together with the axis
+    profile used for the search.  ``threads`` is accepted and has no effect.
     """
     from .domains import dogbone  # local import to keep module deps one-way
 
@@ -313,7 +327,8 @@ def dogbone_experiment(epsilon: float,
         f_at_eps=f_eps,
         f_at_one=f_one,
         inequality_holds=bool(holds and separated),
-        inconclusive=not separated,
+        inconclusive=not (separated and f_eps.converged and f_one.converged
+                          and profile.converged.all()),
         critical_points=tuple(cps),
         window=window,
         samples=n_samples,

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 __all__ = [
     "PlanarDomain",
@@ -417,6 +416,8 @@ def hausdorff_distance(a, b) -> float:
     Clouds are complex arrays or (n, 2) real arrays.  Symmetric; the max of
     the two directed sup-inf distances, via KD-trees.
     """
+    from scipy.spatial import cKDTree  # here, not at module level: slow to import
+
     pa, pb = _as_points(a), _as_points(b)
     d_ab = cKDTree(pb).query(pa)[0].max()
     d_ba = cKDTree(pa).query(pb)[0].max()

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .critical import _bracketed_root
 from .domains import PlanarDomain
 from .hyperbolic import (H3Point, apply_h3_batch, geodesic_point, h3_distance,
                          h3_distance_batch, MobiusMap)
@@ -273,37 +274,35 @@ def _interior_feet(domain: PlanarDomain, k: int) -> list[complex]:
                      f"(found {len(feet)}); domain too thin near 0?")
 
 
-def _bisect_level(domain, foot, target, config):
-    """Solve measure(foot, z) = target in z by bracketing and bisection."""
-    def f(z):
+def _solve_level(domain, foot, target, config):
+    """Solve measure(foot, z) = target in z: bracket, then a root solve in log z.
+
+    |z df/dz| <= 2 (the kernel's z-derivative is at most 2/z times the
+    kernel), so a log-z bracket of width ``config.tolerance`` pins the level
+    to within that tolerance.
+    """
+    def level(z):
         return harmonic_measure(domain, H3Point(foot.real, foot.imag, z),
-                                config).value
+                                config).value - target
 
     z_lo, z_hi = 0.25, 4.0
     for _ in range(60):
-        if f(z_lo) > target:
+        g_lo = level(z_lo)
+        if g_lo > 0.0:
             break
         z_lo /= 4.0
     else:
         raise ValueError(f"level {target} not bracketed from below on {foot}")
     for _ in range(60):
-        if f(z_hi) < target:
+        g_hi = level(z_hi)
+        if g_hi < 0.0:
             break
         z_hi *= 4.0
     else:
         raise ValueError(f"level {target} not bracketed from above on {foot}")
-    for _ in range(200):
-        z_mid = math.sqrt(z_lo * z_hi)
-        fm = f(z_mid)
-        if abs(fm - target) < 0.25 * config.tolerance:
-            return z_mid
-        if fm > target:
-            z_lo = z_mid
-        else:
-            z_hi = z_mid
-        if z_hi / z_lo < 1.0 + 1e-15:
-            return z_mid
-    return math.sqrt(z_lo * z_hi)
+    u = _bracketed_root(lambda u: level(math.exp(u)), math.log(z_lo),
+                        math.log(z_hi), g_lo, g_hi, config.tolerance)
+    return math.exp(u)
 
 
 def find_quantizable(domain: PlanarDomain, k: int, ell: int,
@@ -313,10 +312,10 @@ def find_quantizable(domain: PlanarDomain, k: int, ell: int,
 
     By default every point sits at the common level ell / k; ``levels`` may
     prescribe any other vector of k values in (0, 1) summing to ell.  Each
-    point is found by bisection in height along its own vertical line
-    through an interior point of the boundary plane: the measure rises to 1
-    down the line and decays to 0 up it, so every level in (0, 1) is
-    attained.  Distinct lines force distinct points.
+    point is found by a bracketed root solve in height along its own
+    vertical line through an interior point of the boundary plane: the
+    measure rises to 1 down the line and decays to 0 up it, so every level
+    in (0, 1) is attained.  Distinct lines force distinct points.
     """
     if k < 2:
         raise ValueError("need k >= 2 (a single point is never quantizable)")
@@ -338,7 +337,7 @@ def find_quantizable(domain: PlanarDomain, k: int, ell: int,
         tolerance=min(config_q.tolerance, 2.5e-10 / k),
         max_depth=config_q.max_depth, cutoff=config_q.cutoff)
     points = tuple(H3Point(foot.real, foot.imag,
-                           _bisect_level(domain, foot, target, tight))
+                           _solve_level(domain, foot, target, tight))
                    for foot, target in zip(_interior_feet(domain, k), targets))
     mvs = measure_many(domain, points, tight)
     return PointConfiguration(points=points,

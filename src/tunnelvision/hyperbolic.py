@@ -27,8 +27,6 @@ __all__ = [
     "h3_distance_batch",
     "disk_distance",
     "disk_to_h3",
-    "disk_to_halfplane",
-    "halfplane_to_disk",
     "geodesic_point",
     "laplace_beltrami",
     "apply_h3_batch",
@@ -203,18 +201,7 @@ def disk_distance(u: DiskPoint, v: DiskPoint) -> float:
 # zeta -> i (1 + zeta)/(1 - zeta) carries the unit disk onto the upper half
 # plane {Im w > 0}, which embeds in half-space as the totally geodesic
 # vertical plane {y = 0} via (u, v) -> (u, 0, v).
-_CAYLEY_TO_DISK = MobiusMap(1.0, -1.0j, 1.0, 1.0j)
-_CAYLEY_FROM_DISK = _CAYLEY_TO_DISK.inverse()
-
-
-def halfplane_to_disk(m: MobiusMap) -> MobiusMap:
-    """Conjugate a half-plane (PSL(2,R)-type) map into a unit-disk automorphism."""
-    return _CAYLEY_TO_DISK @ m @ _CAYLEY_FROM_DISK
-
-
-def disk_to_halfplane(m: MobiusMap) -> MobiusMap:
-    """Conjugate a unit-disk automorphism into the real-line-preserving picture."""
-    return _CAYLEY_FROM_DISK @ m @ _CAYLEY_TO_DISK
+_CAYLEY_FROM_DISK = MobiusMap(1.0, -1.0j, 1.0, 1.0j).inverse()
 
 
 def disk_to_h3(u: DiskPoint) -> H3Point:

@@ -47,7 +47,6 @@ __all__ = [
     "kernel_mass",
     "harmonic_measure",
     "measure_many",
-    "measure_gradient",
     "measure_with_gradient",
     "halfplane_closed_form",
     "disk_closed_form",
@@ -260,19 +259,12 @@ def measure_with_gradient(domain: PlanarDomain, p: H3Point,
                           config: QuadratureConfig = QuadratureConfig()):
     """Measure and its Euclidean gradient in one pass over a shared partition.
 
-    Returns ``(MeasureValue, gradient (3,), gradient_error (3,))``.
+    Returns ``(MeasureValue, gradient (3,), gradient_error (3,))``; the
+    gradient is (df/dx, df/dy, df/dz) and the hyperbolic gradient norm is
+    ``z * norm(gradient)``.
     """
     values, grads, errs = measure_many(domain, [p], config, gradient=True)
     return values[0], grads[0], errs[0]
-
-
-def measure_gradient(domain: PlanarDomain, p: H3Point,
-                     config: QuadratureConfig = QuadratureConfig()) -> np.ndarray:
-    """Euclidean-coordinate gradient (df/dx, df/dy, df/dz) of the measure.
-
-    The hyperbolic gradient norm is ``z * norm(result)``.
-    """
-    return measure_with_gradient(domain, p, config)[1]
 
 
 def kernel_mass(p: H3Point, config: QuadratureConfig = QuadratureConfig()) -> float:

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -119,6 +121,35 @@ def test_dogbone_fat_corridor_exit(tmp_path):
     assert rc in (0, 2)
     _schema("dogbone_report.schema.json")(
         json.loads((tmp_path / "report.json").read_text()))
+
+
+def test_dogbone_nonconverged_exit(tmp_path):
+    # max depth 2 cannot certify tol 1e-18 anywhere: the inequality and both
+    # axis extrema rest on non-converged evaluations
+    rc = main(["dogbone", "--eps", "0.1", "--tol", "1e-18", "--max-depth", "2",
+               "--samples", "20", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["inconclusive"] is True
+    assert report["critical_points"]
+    assert not any(cp["conclusive"] for cp in report["critical_points"])
+
+
+def test_profile_nonconverged_exit(dogbone_json, tmp_path):
+    rc = main(["profile", "--domain", dogbone_json, "--z-min", "0.1",
+               "--z-max", "2", "--n", "5", "--tol", "1e-18", "--max-depth", "2",
+               "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert (tmp_path / "profile.csv").exists()
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, tunnelvision.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_profile_determinism_across_threads(dogbone_json, tmp_path):

@@ -1,16 +1,62 @@
+import json
+import math
+import os
+
 import numpy as np
 import pytest
 
-from tunnelvision.critical import (GridSpec, RefinementError,
-                                   almost_kahler_verdict, axis_critical_points,
-                                   axis_profile, dogbone_experiment,
-                                   refine_critical_point_3d)
+from tunnelvision.critical import (AxisProfile, GridSpec, RefinementError,
+                                   _bracketed_root, almost_kahler_verdict,
+                                   axis_critical_points, axis_profile,
+                                   dogbone_experiment, refine_critical_point_3d)
 from tunnelvision.domains import Disk, HalfPlane, Union, dogbone
 from tunnelvision.hyperbolic import H3Point
 from tunnelvision.measure import (QuadratureConfig, harmonic_measure,
                                   measure_with_gradient)
 
 CFG = QuadratureConfig(tolerance=1e-9)
+REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                         "reference.json")
+
+
+def test_bracketed_root_meets_xtol():
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return math.cos(x)
+
+    x = _bracketed_root(g, 0.0, 3.0, 1.0, math.cos(3.0), 1e-12)
+    assert abs(x - 0.5 * math.pi) <= 0.5e-12
+    assert all(0.0 < c < 3.0 for c in calls)
+    assert len(calls) < 15
+    # a zero hit exactly is returned as it is
+    assert _bracketed_root(lambda t: t - 1.0, 0.0, 4.0, -1.0, 3.0, 1e-9) == 1.0
+
+
+def test_axis_critical_points_meet_refine_tol():
+    with open(REFERENCE) as fh:
+        ref = {e["eps"]: e for e in json.load(fh)["eps"]}[0.1]
+    report, _ = dogbone_experiment(0.1)
+    for rc in ref["critical_points"]:
+        [cp] = [c for c in report.critical_points
+                if c.classification == rc["classification"]]
+        assert cp.conclusive and cp.tolerance == 1e-6
+        assert abs(cp.location.z - rc["z"]) <= cp.tolerance
+
+
+def test_axis_bracket_without_slope_sign_change():
+    # a bump put into a disk profile: the discrete derivative changes sign,
+    # but df/dz < 0 at both bracket ends, so there is no zero to solve for
+    domain = Disk(0, 1.0)
+    z = np.array([0.5, 0.6, 0.7, 0.8])
+    f = 1.0 / (1.0 + z**2)
+    f[1] = 0.9
+    prof = AxisProfile(z=z, f=f, err=np.zeros(4), converged=np.ones(4, bool))
+    [cp] = axis_critical_points(prof, domain, 1e-6, CFG)
+    assert cp.classification == "axis-max"
+    assert cp.location.z == 0.6
+    assert not cp.conclusive
 
 
 def test_verdict_axis_extrema_conclusive():
