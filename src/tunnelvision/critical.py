@@ -182,7 +182,11 @@ def _bracketed_root(g, a, b, ga, gb, xtol):
     midpoint of a bracket no wider than ``xtol``.  b is the latest iterate,
     and the value at the other end is halved each time that end is kept
     (Dowell & Jarratt, BIT 1971); steps stay ``xtol / 2`` clear of the ends.
+    ``xtol`` is raised to four ulps of the bracket ends, so every step
+    shrinks the bracket even when the requested width is below the float
+    spacing there.
     """
+    xtol = max(xtol, 4.0 * math.ulp(max(abs(a), abs(b))))
     while abs(b - a) > xtol:
         lo, hi = min(a, b), max(a, b)
         c = min(max(b - gb * (b - a) / (gb - ga), lo + 0.5 * xtol),
@@ -233,8 +237,9 @@ def axis_critical_points(profile: AxisProfile, domain: PlanarDomain,
     z[i+2] brackets an extremum.  The analytic derivative df/dz at the two
     bracket ends (one batched evaluation for all brackets) seeds a bracketed
     root solve of df/dz to within ``refine_tol``; when the two end slopes do
-    not have opposite signs there is nothing to solve, and the middle sample
-    z[i+1] is reported.  An extremum is ``conclusive`` when both bracket-end
+    not have the signs the bracket's type expects (df/dz > 0 then < 0 around a
+    maximum, < 0 then > 0 around a minimum) there is nothing to solve, and
+    the middle sample z[i+1] is reported.  An extremum is ``conclusive`` when both bracket-end
     evaluations converged and their slopes have the expected opposite signs
     beyond their error bars, which proves a zero of df/dz inside the bracket.
 
@@ -262,7 +267,7 @@ def axis_critical_points(profile: AxisProfile, domain: PlanarDomain,
         is_max = df[i] > 0.0
         sign = 1.0 if is_max else -1.0  # f rises into a max, falls into a min
         conclusive = bool(ok.all() and sign * ga > ea and sign * gb < -eb)
-        if ga * gb < 0.0:
+        if sign * ga > 0.0 > sign * gb:
             z_star = _bracketed_root(dfdz, z[i], z[i + 2], ga, gb, refine_tol)
         else:
             z_star = z[i + 1]

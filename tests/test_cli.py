@@ -241,6 +241,17 @@ def test_quantize_cli(dogbone_json, tmp_path):
                  "2", "--out-dir", str(tmp_path)]) == 1
 
 
+def test_quantize_below_float_resolution_terminates(dogbone_json, tmp_path):
+    # tol 1e-18 asks the level solve for a log-height bracket narrower than
+    # the float spacing there; the solve stops at that spacing instead
+    rc = main(["quantize", "--domain", dogbone_json, "--k", "2", "--ell", "1",
+               "--tol", "1e-18", "--max-depth", "2", "--out-dir", str(tmp_path)])
+    assert rc in (0, 2)
+    obj = json.loads((tmp_path / "configuration.json").read_text())
+    assert len(obj["points"]) == 2
+    assert obj["points"][0] != obj["points"][1]
+
+
 def test_dump_json_17_digits():
     s = dump_json({"v": 1 / 3, "list": [1.0, 2], "flag": True, "none": None})
     assert "0.33333333333333331" in s

@@ -32,6 +32,11 @@ def test_bracketed_root_meets_xtol():
     assert len(calls) < 15
     # a zero hit exactly is returned as it is
     assert _bracketed_root(lambda t: t - 1.0, 0.0, 4.0, -1.0, 3.0, 1e-9) == 1.0
+    # an xtol below the float spacing of the bracket still terminates
+    calls.clear()
+    x = _bracketed_root(g, 0.0, 3.0, 1.0, math.cos(3.0), 1e-20)
+    assert abs(x - 0.5 * math.pi) <= 4.0 * math.ulp(3.0)
+    assert len(calls) < 20
 
 
 def test_axis_critical_points_meet_refine_tol():
@@ -56,6 +61,23 @@ def test_axis_bracket_without_slope_sign_change():
     [cp] = axis_critical_points(prof, domain, 1e-6, CFG)
     assert cp.classification == "axis-max"
     assert cp.location.z == 0.6
+    assert not cp.conclusive
+
+
+def test_axis_bracket_with_slopes_of_the_wrong_type():
+    # a bump put over the dogbone's axis minimum: the discrete derivative
+    # calls it a maximum, while df/dz goes from < 0 to > 0 across it; the
+    # zero of df/dz there is a minimum, so none is solved for
+    with open(REFERENCE) as fh:
+        ref = {e["eps"]: e for e in json.load(fh)["eps"]}[0.1]
+    [z_min] = [c["z"] for c in ref["critical_points"]
+               if c["classification"] == "axis-min"]
+    z = np.array([z_min / 1.3, z_min, z_min * 1.3])
+    prof = AxisProfile(z=z, f=np.array([0.01, 0.02, 0.01]), err=np.zeros(3),
+                       converged=np.ones(3, bool))
+    [cp] = axis_critical_points(prof, dogbone(0.1), 1e-6, CFG)
+    assert cp.classification == "axis-max"
+    assert cp.location.z == z_min
     assert not cp.conclusive
 
 
