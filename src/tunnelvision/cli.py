@@ -49,16 +49,11 @@ def _add_common(p):
                    help="absolute quadrature tolerance")
     p.add_argument("--max-depth", type=int, default=24,
                    help="maximum angular refinement rounds")
-    p.add_argument("--cutoff", type=float, default=64.0,
-                   help="far-field probe multiplier")
-    p.add_argument("--threads", type=int, default=None,
-                   help="accepted for compatibility; has no effect")
     p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
 
 
 def _config(args) -> QuadratureConfig:
-    return QuadratureConfig(tolerance=args.tol, max_depth=args.max_depth,
-                            cutoff=args.cutoff)
+    return QuadratureConfig(tolerance=args.tol, max_depth=args.max_depth)
 
 
 def _load_domain(path):
@@ -87,8 +82,7 @@ def _manifest(args, command, parameters, outputs):
     return runio.RunManifest(
         command=command,
         parameters=parameters,
-        tolerances={"tolerance": args.tol, "max_depth": args.max_depth,
-                    "cutoff": args.cutoff},
+        tolerances={"tolerance": args.tol, "max_depth": args.max_depth},
         seed=args.seed,
         outputs=outputs,
     )
@@ -165,7 +159,8 @@ def cmd_critical(args) -> int:
                     {"domain": args.domain, "grid_n": args.grid_n},
                     ["verdict.json"])
     man.finish(started, args.out_dir, "critical")
-    inconclusive = any(not r.conclusive for r in verdict.reports)
+    inconclusive = (any(not r.conclusive for r in verdict.reports)
+                    or verdict.coverage["nonconverged_evaluations"] > 0)
     return EXIT_INCONCLUSIVE if inconclusive else EXIT_OK
 
 
@@ -263,7 +258,7 @@ def cmd_quantize(args) -> int:
                     {"domain": args.domain, "k": args.k, "ell": args.ell},
                     ["configuration.json"])
     man.finish(started, args.out_dir, "quantize")
-    return EXIT_OK if qr.is_quantizable else EXIT_INCONCLUSIVE
+    return EXIT_OK if qr.is_quantizable and qr.converged else EXIT_INCONCLUSIVE
 
 
 def build_parser() -> argparse.ArgumentParser:

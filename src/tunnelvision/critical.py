@@ -401,8 +401,8 @@ def almost_kahler_verdict(domain: PlanarDomain, search: GridSpec | None = None,
     Any converged report means the associated conformal class is not
     representable by an almost-Kahler metric.  ``no_critical_point_found`` is
     explicitly search-relative: it is evidence at the coverage recorded in
-    the verdict, not a proof that none exist.  ``threads`` is accepted and
-    has no effect.
+    the verdict (which counts the scan evaluations that did not converge),
+    not a proof that none exist.  ``threads`` has no effect.
     """
     r = domain.bounding_radius
     if not math.isfinite(r):
@@ -414,14 +414,17 @@ def almost_kahler_verdict(domain: PlanarDomain, search: GridSpec | None = None,
     threshold = 10.0 * config.tolerance
 
     reports = []
+    nonconverged = 0
     symmetric = reflection_symmetric(domain, _SYMMETRY_SAMPLES, _SYMMETRY_SEED)
     if symmetric:
         zs = search.axes()[2]
         profile = axis_profile(domain, zs[0], zs[-1], 200, config)
+        nonconverged += int((~profile.converged).sum())
         reports.extend(axis_critical_points(profile, domain, 1e-6, config))
 
     pts = search.points()
-    grads = measure_many(domain, pts, config, gradient=True)[1]
+    values, grads, _ = measure_many(domain, pts, config, gradient=True)
+    nonconverged += sum(not mv.converged for mv in values)
     norms = np.array([p.z * float(np.linalg.norm(g))
                       for p, g in zip(pts, grads)])
     min_norm = float(norms.min())
@@ -445,6 +448,7 @@ def almost_kahler_verdict(domain: PlanarDomain, search: GridSpec | None = None,
         "threshold": threshold,
         "tolerance": config.tolerance,
         "axis_search": symmetric,
+        "nonconverged_evaluations": nonconverged,
         "note": "no_critical_point_found is relative to this coverage",
     }
     return Verdict(

@@ -20,7 +20,7 @@ value lies strictly inside (0, 1)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -58,12 +58,13 @@ _MIN_POLE_DISTANCE = 1e-8
 
 @dataclass(frozen=True)
 class PointConfiguration:
-    """k distinct points with optional group and cached measure values."""
+    """k distinct points with optional group, cached measure values and flags."""
 
     points: tuple
     group: tuple | None = None
     f_values: tuple | None = None
     f_errors: tuple | None = None
+    f_converged: tuple | None = None
 
     def __post_init__(self):
         pts = tuple(self.points)
@@ -114,6 +115,7 @@ class QuantizationResult:
     tol: float
     f_values: tuple
     f_errors: tuple
+    converged: bool = True
 
 
 def h3_green(pole: H3Point, q: H3Point) -> float:
@@ -239,21 +241,25 @@ def quantization_sum(domain: PlanarDomain, config: PointConfiguration,
 
     Quantizable means the sum is within ``tol`` of an integer ell with
     0 < ell < k.  A single point can never be quantizable: its value lies
-    strictly between 0 and 1.
+    strictly between 0 and 1.  ``converged`` is False when a value's
+    quadrature did not certify its tolerance (unflagged cached values pass).
     """
     if config.f_values is not None:
         values = list(config.f_values)
         errors = list(config.f_errors or (0.0,) * len(values))
+        converged = all(config.f_converged or ())
     else:
         mvs = measure_many(domain, config.points, config_q)
         values = [mv.value for mv in mvs]
         errors = [mv.error for mv in mvs]
+        converged = all(mv.converged for mv in mvs)
     total = math.fsum(values)
     ell = round(total)
     quantizable = abs(total - ell) < tol and 0 < ell < len(config.points)
     return QuantizationResult(total=total, ell=int(ell),
                               is_quantizable=bool(quantizable), tol=tol,
-                              f_values=tuple(values), f_errors=tuple(errors))
+                              f_values=tuple(values), f_errors=tuple(errors),
+                              converged=converged)
 
 
 def _interior_feet(domain: PlanarDomain, k: int) -> list[complex]:
@@ -333,13 +339,12 @@ def find_quantizable(domain: PlanarDomain, k: int, ell: int,
             raise ValueError("levels must lie strictly in (0, 1)")
         if abs(math.fsum(targets) - ell) > 1e-12:
             raise ValueError(f"levels must sum to ell={ell}")
-    tight = QuadratureConfig(
-        tolerance=min(config_q.tolerance, 2.5e-10 / k),
-        max_depth=config_q.max_depth, cutoff=config_q.cutoff)
+    tight = replace(config_q, tolerance=min(config_q.tolerance, 2.5e-10 / k))
     points = tuple(H3Point(foot.real, foot.imag,
                            _solve_level(domain, foot, target, tight))
                    for foot, target in zip(_interior_feet(domain, k), targets))
     mvs = measure_many(domain, points, tight)
     return PointConfiguration(points=points,
                               f_values=tuple(mv.value for mv in mvs),
-                              f_errors=tuple(mv.error for mv in mvs))
+                              f_errors=tuple(mv.error for mv in mvs),
+                              f_converged=tuple(mv.converged for mv in mvs))

@@ -17,14 +17,19 @@ map is built as (rotation about 0) o (hyperbolic translation of length 2 ya
 along the axis perpendicular to the source edge); correctness is enforced by
 the relator product and fundamental-domain tests, not by derivation, and
 tests must not assume specific matrix entries (any conjugate choice is as
-good).  Word enumeration proceeds by length shells with free reduction and
-matrix-proximity deduplication (sign-quotiented, since -M acts like M).
+good).  Word enumeration goes by length shells, one batched matrix product
+per shell less free backtracks.  The relator has even length, so a new word
+of length n + 1 is an element of length n + 1 or n - 1 and is compared only
+with the other new words and with shell n - 1, by the orbit point of 0 (its
+hyperboloid coordinate 2ab, unchanged under M -> -M).  Distinct orbit points
+lie at least 2 sinh(ya) apart (4.39 for genus 2), as the polygon holds the
+disk of radius ya about 0, so no tolerance is needed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -45,7 +50,7 @@ __all__ = [
 
 
 class DedupCollisionError(RuntimeError):
-    """Two enumerated elements were proximate but not numerically equal."""
+    """Two orbit points were neither numerically equal nor separated."""
 
 
 @dataclass(frozen=True)
@@ -60,14 +65,7 @@ class PolygonData:
     interior_angle: float
 
     def to_obj(self):
-        return {
-            "genus": self.genus,
-            "center_to_edge": self.center_to_edge,
-            "center_to_vertex": self.center_to_vertex,
-            "inradius_euclidean": self.inradius_euclidean,
-            "area": self.area,
-            "interior_angle": self.interior_angle,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -172,92 +170,87 @@ def polygon_contains(genus: int, zeta: complex) -> bool:
 def surface_relator(generators: list[GroupElement]) -> MobiusMap:
     """The product of commutators [a1, b1]...[ag, bg] over the generator list."""
     prod = MobiusMap.identity()
-    for i in range(0, len(generators), 2):
-        a = generators[i].map
-        b = generators[i + 1].map
-        prod = prod @ a @ b @ a.inverse() @ b.inverse()
+    for a, b in zip(generators[::2], generators[1::2]):
+        prod = prod @ a.map @ b.map @ a.map.inverse() @ b.map.inverse()
     return prod
 
 
 # -- enumeration -----------------------------------------------------------------
 
-_BUCKET = 1e7  # orbit-point grid used to bucket candidate duplicates
+#: Near pairs farther apart than this fraction of the orbit separation are
+#: ambiguous: roundoff no longer tells one element from two.
+_AMBIGUOUS = 1e-3
 
 
-class _Registry:
-    """Spatial-bucket registry deduplicating matrices up to sign."""
+def _first_of_pairs(keys: np.ndarray, separation: float) -> np.ndarray:
+    """Mask of the complex keys with no earlier key within half the separation."""
+    from scipy.spatial import cKDTree  # deferred: keeps scipy out of CLI start-up
 
-    def __init__(self, tol: float):
-        self.tol = tol
-        self.buckets: dict = {}
-        self.mats: list = []
-
-    def add(self, mat: np.ndarray) -> bool:
-        """Register a matrix; returns False if it duplicates a known one."""
-        w = mat[0, 1] / mat[1, 1]  # image of 0
-        kx, ky = round(w.real * _BUCKET), round(w.imag * _BUCKET)
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for idx in self.buckets.get((kx + dx, ky + dy), ()):
-                    other = self.mats[idx]
-                    dist = min(np.abs(mat - other).max(),
-                               np.abs(mat + other).max())
-                    if dist < self.tol:
-                        return False
-                    if dist < 1e-6:
-                        raise DedupCollisionError(
-                            f"matrices at ambiguous distance {dist:.3e} "
-                            f"(tolerance {self.tol:.1e})")
-        self.buckets.setdefault((kx, ky), []).append(len(self.mats))
-        self.mats.append(mat)
-        return True
+    xy = np.column_stack([keys.real, keys.imag])
+    pairs = cKDTree(xy).query_pairs(separation / 2.0, output_type="ndarray")
+    keep = np.ones(len(keys), dtype=bool)
+    if len(pairs):
+        gap = np.abs(keys[pairs[:, 0]] - keys[pairs[:, 1]]).max()
+        if gap > _AMBIGUOUS * separation:
+            raise DedupCollisionError(f"orbit points {gap:.3e} apart "
+                                      f"(separation {separation:.3f})")
+        keep[pairs[:, 1]] = False
+    return keep
 
 
-def enumerate_group(generators: list[GroupElement], max_word_length: int,
-                    dedup_tol: float = 1e-9) -> list[GroupElement]:
-    """All distinct elements represented by reduced words up to the length bound.
+def _shells(generators: list[GroupElement], depth: int):
+    """Yield shells 1..depth as ``(mats, parent, letter)``, breadth-first.
 
-    Breadth-first by word length with free reduction; duplicates (relator
-    coincidences) are removed by sign-quotiented matrix proximity.  Output
-    order is deterministic: by shell, then by word in the fixed letter order.
-    Includes the identity.
+    ``mats`` are raw (not renormalized) products, ``parent`` indexes the
+    previous shell and ``letter`` the appended one (2i: generator i, 2i + 1:
+    its inverse); rows are ordered by parent, then by letter.
+    """
+    letters = np.array([m for gen in generators
+                        for m in (gen.map.matrix(), gen.map.inverse().matrix())])
+    ya = regular_polygon(len(generators) // 2).center_to_edge
+    separation = 2.0 * math.sinh(ya)  # see the module docstring
+    mats, backtrack = np.eye(2, dtype=complex)[None], np.array([-1])
+    old_keys, keys = np.empty(0, dtype=complex), np.zeros(1, dtype=complex)
+    for _ in range(depth):
+        cand = np.matmul(mats[:, None], letters).reshape(-1, 2, 2)
+        parent, letter = np.divmod(np.arange(len(cand)), len(letters))
+        idx = np.flatnonzero(letter != backtrack[parent])
+        both = np.concatenate([old_keys, 2.0 * cand[idx, 0, 0] * cand[idx, 0, 1]])
+        new = _first_of_pairs(both, separation)[len(old_keys):]
+        old_keys, keys = keys, both[len(old_keys):][new]
+        idx = idx[new]
+        mats, parent, letter = cand[idx], parent[idx], letter[idx]
+        backtrack = letter ^ 1
+        yield mats, parent, letter
+
+
+def enumerate_group(generators: list[GroupElement],
+                    max_word_length: int) -> list[GroupElement]:
+    """All elements of word length up to the bound, each with a shortest word.
+
+    ``generators`` are those of :func:`side_pairing_generators`.  Ordered by
+    shell, then parent word, then letter (a1, A1, b1, B1, ...); includes the
+    identity.  Raises DedupCollisionError if roundoff makes two orbit points
+    neither equal nor separated.
     """
     if max_word_length < 0:
         raise ValueError("max_word_length must be >= 0")
-    letters = []
-    for gen in generators:
-        letters.append((gen.word, gen.map.matrix()))
-        letters.append((gen.word.capitalize(), gen.map.inverse().matrix()))
-    inverse_of = {i: i + 1 if i % 2 == 0 else i - 1 for i in range(len(letters))}
-
-    registry = _Registry(dedup_tol)
-    identity = np.eye(2, dtype=complex)
-    registry.add(identity)
+    names = [name for gen in generators
+             for name in (gen.word, gen.word.capitalize())]
     out = [GroupElement(MobiusMap.identity(), "")]
-    shell = [(-1, "", identity)]
-    for _ in range(max_word_length):
-        new_shell = []
-        for last, word, mat in shell:
-            for li, (name, lmat) in enumerate(letters):
-                if last >= 0 and li == inverse_of[last]:
-                    continue
-                cand = mat @ lmat
-                if registry.add(cand):
-                    cand_word = f"{word}.{name}" if word else name
-                    new_shell.append((li, cand_word, cand))
-                    out.append(GroupElement(
-                        MobiusMap(cand[0, 0], cand[0, 1], cand[1, 0], cand[1, 1]),
-                        cand_word))
-        shell = new_shell
+    words = [""]
+    for mats, parent, letter in _shells(generators, max_word_length):
+        words = [f"{words[p]}.{names[i]}" if words[p] else names[i]
+                 for p, i in zip(parent.tolist(), letter.tolist())]
+        out.extend(GroupElement(MobiusMap(*m), w)
+                   for m, w in zip(mats.reshape(-1, 4).tolist(), words))
     return out
 
 
 def orbit_cloud(elements: list[GroupElement], base: DiskPoint) -> np.ndarray:
     """Images of a disk point under every element, as a complex array."""
-    out = np.empty(len(elements), dtype=complex)
-    for i, el in enumerate(elements):
-        out[i] = el.map.apply_boundary(base.zeta)
-    return out
+    return np.array([el.map.apply_boundary(base.zeta) for el in elements],
+                    dtype=complex)
 
 
 def limit_set_sample(genus: int, depth: int) -> np.ndarray:
@@ -269,7 +262,7 @@ def limit_set_sample(genus: int, depth: int) -> np.ndarray:
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    elements = enumerate_group(side_pairing_generators(genus), depth)
-    ws = np.array([el.map.apply_boundary(0j) for el in elements
-                   if el.word_length == depth])
+    for mats, _, _ in _shells(side_pairing_generators(genus), depth):
+        pass  # only the deepest shell is sampled
+    ws = mats[:, 0, 1] / mats[:, 1, 1]
     return ws / np.abs(ws)

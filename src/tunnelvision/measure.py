@@ -69,21 +69,16 @@ class QuadratureConfig:
 
     tolerance : absolute target on the measure value (gradients ride along).
     max_depth : refinement rounds of the angular partition.
-    cutoff    : far-field multiplier; sets where the beyond-all-crossings
-                membership probe is placed (the radial tail itself is exact).
     """
 
     tolerance: float = 1e-7
     max_depth: int = 24
-    cutoff: float = 64.0
 
     def __post_init__(self):
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
-        if self.cutoff < 1:
-            raise ValueError("cutoff must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -152,8 +147,7 @@ class _RayIntegrand:
     and point.
     """
 
-    def __init__(self, domain: PlanarDomain, points, cutoff: float,
-                 want_gradient: bool):
+    def __init__(self, domain: PlanarDomain, points, want_gradient: bool):
         self.domain = domain
         self.foot = np.array([p.foot for p in points])
         self.z = np.array([p.z for p in points])
@@ -162,7 +156,7 @@ class _RayIntegrand:
         self.want_gradient = want_gradient
         r = domain.bounding_radius
         base = np.abs(self.foot) + self.z + (r if math.isfinite(r) else 1.0)
-        self.far_pad = cutoff * np.maximum(self.z, base)
+        self.far_pad = np.maximum(self.z, base)
 
     def __call__(self, phis: np.ndarray, rows: np.ndarray) -> np.ndarray:
         # a foot shared by all points (one point, or heights on one vertical
@@ -231,7 +225,7 @@ def measure_many(domain: PlanarDomain, points,
     points = list(points)
     kinks = cache(lambda foot: _angular_breakpoints(domain, foot))  # per foot
     bps = [kinks(p.foot) for p in points]
-    integrand = _RayIntegrand(domain, points, config.cutoff, gradient)
+    integrand = _RayIntegrand(domain, points, gradient)
     res = integrate_many(integrand, 0.0, _TWO_PI, config.tolerance, bps,
                          max_rounds=config.max_depth)
     values = [MeasureValue(value=min(max(float(r.value[0]), 0.0), 1.0),
@@ -270,12 +264,12 @@ def measure_with_gradient(domain: PlanarDomain, p: H3Point,
 def kernel_mass(p: H3Point, config: QuadratureConfig = QuadratureConfig()) -> float:
     """Total kernel mass over the plane; approximately 1.
 
-    Integrates the radial closed form out to ``cutoff * max(z, 1)`` through
-    the angular machinery and adds the exact analytic tail of the kernel
+    Integrates the radial closed form out to ``max(z, 1)`` through the
+    angular machinery and adds the exact analytic tail of the kernel
     beyond that radius.  Raises QuadratureError if the angular tolerance was
     not certified.
     """
-    rho_far = config.cutoff * max(p.z, 1.0)
+    rho_far = max(p.z, 1.0)
     z2 = p.z**2
     body = rho_far**2 / (rho_far**2 + z2)
 

@@ -1,15 +1,16 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from tunnelvision.domains import hausdorff_distance
-from tunnelvision.groups import (DedupCollisionError, _Registry,
+from tunnelvision.groups import (DedupCollisionError, GroupElement,
                                  enumerate_group, limit_set_sample, min_genus,
                                  orbit_cloud, polygon_contains,
                                  regular_polygon, side_pairing_generators,
                                  surface_relator)
-from tunnelvision.hyperbolic import DiskPoint, disk_distance
+from tunnelvision.hyperbolic import DiskPoint, MobiusMap, disk_distance
 
 
 def _triangle_side_from_angles(alpha, beta, gamma):
@@ -209,12 +210,50 @@ def test_limit_set_approaches_circle():
     assert dists[0] > dists[1] > dists[2]
 
 
-def test_dedup_collision_is_flagged():
-    reg = _Registry(tol=1e-9)
-    base = np.array([[1.3 + 0.1j, 0.2j], [-0.2j, 1.3 - 0.1j]])
-    assert reg.add(base)
+def test_dedup_collision_is_flagged(genus2_generators):
+    # turning a1 by 1e-4 breaks the relator slightly: the two halves of each
+    # length-8 relation land near each other at length 4, neither equal nor
+    # separated, and the enumeration must refuse rather than pick one
+    turned = MobiusMap.disk_rotation(1e-4) @ genus2_generators[0].map
+    gens = [GroupElement(turned, "a1")] + genus2_generators[1:]
+    assert len(enumerate_group(gens, 3)) == 1 + 8 + 56 + 392
     with pytest.raises(DedupCollisionError):
-        reg.add(base + 1e-8)
+        enumerate_group(gens, 4)
+
+
+def _growth_series(genus, n_terms):
+    """Cannon's growth series of the genus-g surface group, by its recurrence.
+
+    The series is (1 + 2x + ... + 2x^(2g-1) + x^2g) / (1 - (4g-2)(x + ... +
+    x^(2g-1)) + x^2g) for the standard presentation.
+    """
+    m = 2 * genus
+    num = [1] + [2] * (m - 1) + [1]
+    den = [1] + [-(4 * genus - 2)] * (m - 1) + [1]
+    out = []
+    for n in range(n_terms):
+        acc = num[n] if n < len(num) else 0
+        acc -= sum(den[k] * out[n - k] for k in range(1, min(n, m) + 1))
+        out.append(acc)
+    return out
+
+
+@pytest.mark.parametrize("genus, depth", [(2, 6), (3, 4)])
+def test_shell_counts_match_growth_series(genus, depth, genus2_elements):
+    elements = (genus2_elements if genus == 2 else
+                enumerate_group(side_pairing_generators(genus), depth))
+    counts = np.bincount([el.word_length for el in elements]).tolist()
+    assert counts == _growth_series(genus, depth + 1)
+
+
+def test_depth6_words_frozen(genus2_elements):
+    # digest of the genus-2 depth-6 word list, newline-joined, as enumerated
+    # by the registry-based implementation this one replaced
+    assert len(genus2_elements) == 155577
+    digest = hashlib.sha256(
+        "\n".join(el.word for el in genus2_elements).encode()).hexdigest()
+    assert digest == ("4234120306d017cf4ec2bf4a3bb07208"
+                      "41164b850c70ee38b5db220d09f75e85")
 
 
 def test_enumerate_rejects_negative_length(genus2_generators):

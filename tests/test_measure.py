@@ -47,8 +47,6 @@ def test_config_validation():
         QuadratureConfig(tolerance=0.0)
     with pytest.raises(ValueError):
         QuadratureConfig(max_depth=0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(cutoff=0.5)
 
 
 def test_whole_plane_as_huge_disk():
