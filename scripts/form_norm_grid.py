@@ -33,13 +33,14 @@ def main():
     with open(args.domain) as fh:
         domain = domain_from_obj(json.load(fh))
     grid = GridSpec.for_domain(domain, args.n)
-    rows = form_norm_grid(domain, grid, QuadratureConfig(tolerance=args.tol),
-                          u_mode=args.u_mode)
+    rows, nonconverged = form_norm_grid(
+        domain, grid, QuadratureConfig(tolerance=args.tol), u_mode=args.u_mode)
     write_csv(args.out,
               ["x [boundary coords]", "y [boundary coords]",
                "z [model height]", "omega_norm [1]", "weighted_norm [1]"],
               rows)
-    print(f"wrote {args.out} ({len(rows)} rows)")
+    print(f"wrote {args.out} ({len(rows)} rows, "
+          f"{nonconverged} not converged)")
     return 0
 
 

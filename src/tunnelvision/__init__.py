@@ -33,7 +33,6 @@ from .greens import (PointConfiguration, SeriesValue, QuantizationResult,
                      NonConvergentSeriesError, PoleCollisionError, h3_green,
                      green_flux, quotient_green, potential_V,
                      quantization_sum, find_quantizable)
-from .forms import (FramePoint, FormSample, ExpansionFit, ZeroLocusReport,
-                    sd_form_norm, selfdual_algebra_check,
-                    boundary_expansion_check, zero_locus_report,
-                    form_norm_grid)
+from .forms import (FormSample, ExpansionFit, ZeroLocusReport, sd_form_norm,
+                    selfdual_algebra_check, boundary_expansion_check,
+                    zero_locus_report, form_norm_grid)

@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 error (bad usage, malformed input), 2 numerically
 inconclusive (the requested tolerance could not separate the outcome).
-Every run writes a RunManifest next to its outputs; re-running with the same
+Each command computes and writes its outputs and returns its exit code, its
+manifest parameters and its output names; :func:`main` times the command and
+writes the RunManifest next to those outputs.  Re-running with the same
 parameters reproduces the output files byte for byte.
 """
 
@@ -43,13 +45,11 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _add_common(p):
-    p.add_argument("--out-dir", default=".", help="directory for output files")
+def _add_quadrature(p):
     p.add_argument("--tol", type=float, default=1e-7,
                    help="absolute quadrature tolerance")
     p.add_argument("--max-depth", type=int, default=24,
                    help="maximum angular refinement rounds")
-    p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
 
 
 def _config(args) -> QuadratureConfig:
@@ -78,16 +78,6 @@ def _point(xyz) -> H3Point:
         raise CliError(str(exc))
 
 
-def _manifest(args, command, parameters, outputs):
-    return runio.RunManifest(
-        command=command,
-        parameters=parameters,
-        tolerances={"tolerance": args.tol, "max_depth": args.max_depth},
-        seed=args.seed,
-        outputs=outputs,
-    )
-
-
 def _out(args, name):
     os.makedirs(args.out_dir, exist_ok=True)
     return os.path.join(args.out_dir, name)
@@ -96,10 +86,9 @@ def _out(args, name):
 # -- commands -------------------------------------------------------------------
 
 
-def cmd_dogbone(args) -> int:
+def cmd_dogbone(args):
     if not 0.0 < args.eps < 0.5:
         raise CliError(f"--eps must lie in (0, 1/2), got {args.eps}")
-    started = time.monotonic()
     report, profile = dogbone_experiment(args.eps, _config(args),
                                          n_samples=args.samples,
                                          refine_tol=args.refine_tol)
@@ -110,74 +99,58 @@ def cmd_dogbone(args) -> int:
                     ["z [model units]", "f [dimensionless]",
                      "err [dimensionless]"],
                     profile.rows())
-    man = _manifest(args, "dogbone",
-                    {"eps": args.eps, "samples": args.samples,
-                     "refine_tol": args.refine_tol},
-                    ["report.json", "axis_profile.csv"])
-    man.finish(started, args.out_dir, "dogbone")
-    if report.inconclusive:
-        return EXIT_INCONCLUSIVE
     conclusive_cps = [c for c in report.critical_points if c.conclusive]
-    if report.inequality_holds and len(conclusive_cps) >= 2:
-        return EXIT_OK
-    return EXIT_INCONCLUSIVE
+    ok = (not report.inconclusive and report.inequality_holds
+          and len(conclusive_cps) >= 2)
+    return (EXIT_OK if ok else EXIT_INCONCLUSIVE,
+            {"eps": args.eps, "samples": args.samples,
+             "refine_tol": args.refine_tol},
+            ["report.json", "axis_profile.csv"])
 
 
-def cmd_measure(args) -> int:
-    started = time.monotonic()
+def cmd_measure(args):
     domain = _load_domain(args.domain)
     mv = harmonic_measure(domain, _point(args.point), _config(args))
     print(f"{mv.value:.17g} {mv.error:.17g}")
-    man = _manifest(args, "measure",
-                    {"domain": args.domain, "point": list(args.point)}, [])
-    man.finish(started, args.out_dir, "measure")
-    return EXIT_OK if mv.converged else EXIT_INCONCLUSIVE
+    return (EXIT_OK if mv.converged else EXIT_INCONCLUSIVE,
+            {"domain": args.domain, "point": list(args.point)}, [])
 
 
-def cmd_profile(args) -> int:
-    started = time.monotonic()
+def cmd_profile(args):
     domain = _load_domain(args.domain)
     prof = axis_profile(domain, args.z_min, args.z_max, args.n, _config(args))
     path = _out(args, args.out)
     runio.write_csv(path, ["z [model units]", "f [dimensionless]",
                            "err [dimensionless]"], prof.rows())
-    man = _manifest(args, "profile",
-                    {"domain": args.domain, "z_min": args.z_min,
-                     "z_max": args.z_max, "n": args.n}, [args.out])
-    man.finish(started, args.out_dir, "profile")
-    return EXIT_OK if prof.converged.all() else EXIT_INCONCLUSIVE
+    return (EXIT_OK if prof.converged.all() else EXIT_INCONCLUSIVE,
+            {"domain": args.domain, "z_min": args.z_min, "z_max": args.z_max,
+             "n": args.n}, [args.out])
 
 
-def cmd_critical(args) -> int:
-    started = time.monotonic()
+def cmd_critical(args):
+    if args.grid_n < 2:
+        raise CliError(f"--grid-n must be >= 2, got {args.grid_n}")
     domain = _load_domain(args.domain)
     grid = GridSpec.for_domain(domain, args.grid_n)
     verdict = almost_kahler_verdict(domain, grid, _config(args))
     path = _out(args, "verdict.json")
     runio.write_json(path, verdict.to_obj())
-    man = _manifest(args, "critical",
-                    {"domain": args.domain, "grid_n": args.grid_n},
-                    ["verdict.json"])
-    man.finish(started, args.out_dir, "critical")
     inconclusive = (any(not r.conclusive for r in verdict.reports)
                     or verdict.coverage["nonconverged_evaluations"] > 0)
-    return EXIT_INCONCLUSIVE if inconclusive else EXIT_OK
+    return (EXIT_INCONCLUSIVE if inconclusive else EXIT_OK,
+            {"domain": args.domain, "grid_n": args.grid_n}, ["verdict.json"])
 
 
-def cmd_polygon(args) -> int:
-    started = time.monotonic()
+def cmd_polygon(args):
     if args.genus < 2:
         raise CliError(f"--genus must be >= 2, got {args.genus}")
     data = regular_polygon(args.genus)
     path = _out(args, "polygon.json")
     runio.write_json(path, data.to_obj())
-    man = _manifest(args, "polygon", {"genus": args.genus}, ["polygon.json"])
-    man.finish(started, args.out_dir, "polygon")
-    return EXIT_OK
+    return EXIT_OK, {"genus": args.genus}, ["polygon.json"]
 
 
-def cmd_group(args) -> int:
-    started = time.monotonic()
+def cmd_group(args):
     if args.genus < 2:
         raise CliError(f"--genus must be >= 2, got {args.genus}")
     if args.depth < 1:
@@ -196,15 +169,12 @@ def cmd_group(args) -> int:
                            "word_length [letters]"],
                     [(float(p.real), float(p.imag), n)
                      for p, n in zip(pts, lengths)])
-    man = _manifest(args, "group",
-                    {"genus": args.genus, "depth": args.depth,
-                     "mode": args.mode}, [name])
-    man.finish(started, args.out_dir, "group")
-    return EXIT_OK
+    return (EXIT_OK,
+            {"genus": args.genus, "depth": args.depth, "mode": args.mode},
+            [name])
 
 
-def cmd_green(args) -> int:
-    started = time.monotonic()
+def cmd_green(args):
     pole = _point(args.pole)
     if args.green_mode == "flux":
         flux = green_flux(pole, args.radius, args.n)
@@ -237,13 +207,10 @@ def cmd_green(args) -> int:
     path = _out(args, "green.json")
     runio.write_json(path, obj)
     params["pole"] = list(args.pole)
-    man = _manifest(args, f"green {args.green_mode}", params, ["green.json"])
-    man.finish(started, args.out_dir, "green")
-    return EXIT_OK
+    return EXIT_OK, params, ["green.json"]
 
 
-def cmd_quantize(args) -> int:
-    started = time.monotonic()
+def cmd_quantize(args):
     domain = _load_domain(args.domain)
     if args.k < 2:
         raise CliError(f"--k must be >= 2, got {args.k}")
@@ -254,11 +221,9 @@ def cmd_quantize(args) -> int:
     qr = quantization_sum(domain, pts, config)
     path = _out(args, "configuration.json")
     runio.write_json(path, pts.to_obj(ell=qr.ell, total=qr.total))
-    man = _manifest(args, "quantize",
-                    {"domain": args.domain, "k": args.k, "ell": args.ell},
-                    ["configuration.json"])
-    man.finish(started, args.out_dir, "quantize")
-    return EXIT_OK if qr.is_quantizable and qr.converged else EXIT_INCONCLUSIVE
+    return (EXIT_OK if qr.is_quantizable and qr.converged else EXIT_INCONCLUSIVE,
+            {"domain": args.domain, "k": args.k, "ell": args.ell},
+            ["configuration.json"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -272,14 +237,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--refine-tol", type=float, default=1e-6)
-    _add_common(p)
+    _add_quadrature(p)
     p.set_defaults(fn=cmd_dogbone)
 
     p = sub.add_parser("measure", help="harmonic measure at one point")
     p.add_argument("--domain", required=True)
     p.add_argument("--point", nargs=3, type=float, required=True,
                    metavar=("X", "Y", "Z"))
-    _add_common(p)
+    _add_quadrature(p)
     p.set_defaults(fn=cmd_measure)
 
     p = sub.add_parser("profile", help="axis profile to CSV")
@@ -288,25 +253,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z-max", type=float, required=True)
     p.add_argument("--n", type=int, default=100)
     p.add_argument("--out", default="profile.csv")
-    _add_common(p)
+    _add_quadrature(p)
     p.set_defaults(fn=cmd_profile)
 
     p = sub.add_parser("critical", help="critical-point search and verdict")
     p.add_argument("--domain", required=True)
     p.add_argument("--grid-n", type=int, default=20)
-    _add_common(p)
+    _add_quadrature(p)
     p.set_defaults(fn=cmd_critical)
 
     p = sub.add_parser("polygon", help="regular 4g-gon data")
     p.add_argument("--genus", type=int, required=True)
-    _add_common(p)
     p.set_defaults(fn=cmd_polygon)
 
     p = sub.add_parser("group", help="orbit or limit-set cloud to CSV")
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--mode", choices=["orbit", "limitset"], default="orbit")
-    _add_common(p)
     p.set_defaults(fn=cmd_group)
 
     p = sub.add_parser("green", help="Green's function fluxes and values")
@@ -318,16 +281,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--genus", type=int, default=2)
     p.add_argument("--shells", type=int, default=6)
-    _add_common(p)
     p.set_defaults(fn=cmd_green)
 
     p = sub.add_parser("quantize", help="find a quantizable configuration")
     p.add_argument("--domain", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--ell", type=int, required=True)
-    _add_common(p)
+    _add_quadrature(p)
     p.set_defaults(fn=cmd_quantize)
 
+    for p in sub.choices.values():
+        p.add_argument("--out-dir", default=".",
+                       help="directory for output files")
     return parser
 
 
@@ -335,14 +300,20 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "green" and args.green_mode in ("eval", "quotient") \
-                and args.point is None:
-            raise CliError("green eval/quotient requires --point")
-        return args.fn(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (ValueError, OSError) as exc:
+        command = args.command
+        if command == "green":
+            if args.green_mode in ("eval", "quotient") and args.point is None:
+                raise CliError("green eval/quotient requires --point")
+            command = f"green {args.green_mode}"
+        started = time.monotonic()
+        code, parameters, outputs = args.fn(args)
+        tolerances = ({"tolerance": args.tol, "max_depth": args.max_depth}
+                      if "tol" in args else {})
+        man = runio.RunManifest(command, parameters, tolerances,
+                                outputs=outputs)
+        man.finish(started, args.out_dir, args.command)
+        return code
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

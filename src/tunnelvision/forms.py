@@ -37,7 +37,6 @@ from .hyperbolic import H3Point
 from .measure import QuadratureConfig, measure_many, measure_with_gradient
 
 __all__ = [
-    "FramePoint",
     "FormSample",
     "ExpansionFit",
     "ZeroLocusReport",
@@ -49,22 +48,6 @@ __all__ = [
 ]
 
 SQRT2 = math.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class FramePoint:
-    """Pointwise frame data: potential value, measure differential, defining u."""
-
-    base: H3Point
-    V: float
-    df: tuple
-    u: float
-
-    def __post_init__(self):
-        if not self.V > 0:
-            raise ValueError("potential value must be positive")
-        if self.u < 0:
-            raise ValueError("defining-function value must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -243,7 +226,9 @@ class ZeroLocusReport:
     samples: tuple              # sub-threshold FormSamples (u-weighted)
     clusters: tuple             # tuples of sample indices, grid-adjacent
     critical_points: tuple      # refined reports, one attempt per cluster
-    cross_referenced: bool      # every cluster refined AND every point clustered
+    cross_referenced: bool      # every cluster refined, every point clustered
+                                # AND every scan evaluation converged
+    nonconverged_evaluations: int
     threshold: float
     u_mode: str
 
@@ -253,6 +238,7 @@ class ZeroLocusReport:
             "clusters": [list(c) for c in self.clusters],
             "critical_points": [r.to_obj() for r in self.critical_points],
             "cross_referenced": self.cross_referenced,
+            "nonconverged_evaluations": self.nonconverged_evaluations,
             "threshold": self.threshold,
             "u_mode": self.u_mode,
         }
@@ -265,6 +251,8 @@ def form_norm_grid(domain: PlanarDomain, grid: GridSpec,
 
     The flat table behind :func:`zero_locus_report`, in grid order;
     ``weighted_norm`` is omega_norm / u^2 for the chosen defining function.
+    Returns ``(rows, nonconverged)``, the second the number of grid
+    evaluations whose quadrature did not converge.
     """
     pts = grid.points()
     values, grads, _ = measure_many(domain, pts, quad, gradient=True)
@@ -273,7 +261,7 @@ def form_norm_grid(domain: PlanarDomain, grid: GridSpec,
         omega = SQRT2 * (p.z * float(np.linalg.norm(g)))
         u = _defining_u(u_mode, p, mv.value)
         rows.append((p.x, p.y, p.z, omega, omega / u**2 if u > 0 else math.inf))
-    return rows
+    return rows, sum(not mv.converged for mv in values)
 
 
 def _defining_u(mode: str, p: H3Point, f_value: float) -> float:
@@ -295,13 +283,13 @@ def zero_locus_report(domain: PlanarDomain, grid: GridSpec,
     vanishes at interior critical points, so near-boundary samples are
     excluded automatically.  Each sub-threshold cluster is refined by the
     Newton search; cross_referenced records whether clusters and refined
-    critical points match up one-to-one.  ``threads`` is accepted and has no
-    effect.
+    critical points match up one-to-one, and is False when any scan
+    evaluation did not converge.  ``threads`` is accepted and has no effect.
     """
     if threshold is None:
         threshold = 10.0 * quad.tolerance
     shape = tuple(len(axis) for axis in grid.axes())
-    rows = form_norm_grid(domain, grid, quad, u_mode)
+    rows, nonconverged = form_norm_grid(domain, grid, quad, u_mode)
     flat_hits = [i for i, row in enumerate(rows) if row[4] < threshold]
     samples = tuple(FormSample(H3Point(*rows[i][:3]), rows[i][3],
                                rows[i][3] / SQRT2)
@@ -347,12 +335,14 @@ def zero_locus_report(domain: PlanarDomain, grid: GridSpec,
             refined_ok.append(True)
         except RefinementError:
             refined_ok.append(False)
-    cross = all(refined_ok) and len(refined) == len(clusters)
+    cross = (all(refined_ok) and len(refined) == len(clusters)
+             and nonconverged == 0)
     return ZeroLocusReport(
         samples=samples,
         clusters=tuple(clusters),
         critical_points=tuple(refined),
         cross_referenced=bool(cross),
+        nonconverged_evaluations=nonconverged,
         threshold=float(threshold),
         u_mode=u_mode,
     )

@@ -27,6 +27,10 @@ __all__ = ["QuadratureResult", "adaptive_integrate", "integrate_many"]
 # bounds both the integrand's working arrays and the integrals held at once.
 MAX_CALL_INTERVALS = 128
 
+# An integral whose partition grows past this many intervals stops refining,
+# as it does at its round limit.
+MAX_INTERVALS = 20000
+
 # 15-point Kronrod extension of 7-point Gauss (QUADPACK constants).
 _XGK = np.array([
     0.991455371120813, 0.949107912342759, 0.864864423359769, 0.741531185599394,
@@ -98,8 +102,7 @@ def _result(lefts, K, E, rounds, converged):
 
 
 def integrate_many(f, a: float, b: float, tol: float, breakpoints,
-                   max_rounds: int = 24,
-                   max_intervals: int = 20000) -> list[QuadratureResult]:
+                   max_rounds: int = 24) -> list[QuadratureResult]:
     """Integrate n integrands over [a, b], each to absolute tolerance ``tol``.
 
     ``f(x, owner)`` returns integrand ``owner[i]`` at ``x[i]``, shape (m,) or
@@ -120,7 +123,7 @@ def integrate_many(f, a: float, b: float, tol: float, breakpoints,
             worst = E.max(axis=1)
             # bisect every interval holding more than its share of the budget
             split = worst > tol * (rights - lefts) / total_len
-            capped = rounds >= max_rounds or len(lefts) > max_intervals
+            capped = rounds >= max_rounds or len(lefts) > MAX_INTERVALS
             if worst.sum() <= tol or not (capped or split.any()):
                 results[i] = _result(lefts, K, E, rounds, True)
             elif capped:
@@ -155,8 +158,7 @@ def integrate_many(f, a: float, b: float, tol: float, breakpoints,
 
 
 def adaptive_integrate(f, a: float, b: float, tol: float,
-                       breakpoints=(), max_rounds: int = 24,
-                       max_intervals: int = 20000) -> QuadratureResult:
+                       breakpoints=(), max_rounds: int = 24) -> QuadratureResult:
     """Integrate ``f(x)`` over [a, b]: the one-integral :func:`integrate_many`."""
     return integrate_many(lambda x, owner: f(x), a, b, tol, [breakpoints],
-                          max_rounds, max_intervals)[0]
+                          max_rounds)[0]

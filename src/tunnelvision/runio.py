@@ -14,7 +14,7 @@ import math
 import numbers
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 __version__ = "0.1.0"
 
@@ -86,25 +86,13 @@ class RunManifest:
     command: str
     parameters: dict
     tolerances: dict
-    seed: int
     version: str = __version__
     wall_time_s: float = 0.0
     outputs: list = field(default_factory=list)
-
-    def to_obj(self):
-        return {
-            "command": self.command,
-            "parameters": self.parameters,
-            "tolerances": self.tolerances,
-            "seed": self.seed,
-            "version": self.version,
-            "wall_time_s": self.wall_time_s,
-            "outputs": list(self.outputs),
-        }
 
     def finish(self, started: float, out_dir: str, stem: str):
         self.wall_time_s = time.monotonic() - started
         os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(out_dir, f"{stem}.manifest.json")
-        write_json(path, self.to_obj())
+        write_json(path, asdict(self))
         return path

@@ -53,6 +53,8 @@ def test_measure_disk(disk_json, tmp_path, capsys):
     manifest = json.loads((tmp_path / "measure.manifest.json").read_text())
     _schema("manifest.schema.json")(manifest)
     assert manifest["command"] == "measure"
+    assert manifest["tolerances"] == {"tolerance": 1e-7, "max_depth": 24}
+    assert "seed" not in manifest
 
 
 def test_measure_creates_out_dir(disk_json, tmp_path, capsys):
@@ -93,6 +95,9 @@ def test_polygon_output(tmp_path):
     obj = json.loads((tmp_path / "polygon.json").read_text())
     _schema("polygon.schema.json")(obj)
     assert obj["inradius_euclidean"] == pytest.approx(0.64359, abs=1e-5)
+    manifest = json.loads((tmp_path / "polygon.manifest.json").read_text())
+    _schema("manifest.schema.json")(manifest)
+    assert manifest["tolerances"] == {}
     assert main(["polygon", "--genus", "1", "--out-dir", str(tmp_path)]) == 1
 
 
@@ -153,10 +158,17 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_removed_flags_are_rejected(disk_json, tmp_path):
-    for flag, value in (("--cutoff", "64"), ("--threads", "2")):
+    for flag, value in (("--cutoff", "64"), ("--threads", "2"), ("--seed", "0")):
         assert main(["profile", "--domain", disk_json, "--z-min", "0.1",
                      "--z-max", "2", "--n", "5", flag, value,
                      "--out-dir", str(tmp_path)]) == 1
+    # nothing integrates in these commands, so they take no quadrature flags
+    for argv in (["polygon", "--genus", "2"],
+                 ["group", "--genus", "2", "--depth", "2"],
+                 ["green", "eval", "--pole", "0", "0", "1",
+                  "--point", "0", "0", "2"]):
+        for flag, value in (("--tol", "1e-9"), ("--max-depth", "10")):
+            assert main([*argv, flag, value, "--out-dir", str(tmp_path)]) == 1
 
 
 def test_rerun_is_bit_identical(disk_json, tmp_path):
@@ -198,6 +210,14 @@ def test_critical_nonconverged_exit(disk_json, tmp_path):
     verdict = json.loads((tmp_path / "verdict.json").read_text())
     _schema("verdict.schema.json")(verdict)
     assert verdict["coverage"]["nonconverged_evaluations"] > 0
+
+
+def test_critical_grid_n_below_two(disk_json, tmp_path, capsys):
+    for n in ("0", "1"):
+        rc = main(["critical", "--domain", disk_json, "--grid-n", n,
+                   "--out-dir", str(tmp_path)])
+        assert rc == 1
+        assert "--grid-n" in capsys.readouterr().err
 
 
 def test_group_cli(tmp_path):

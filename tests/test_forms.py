@@ -5,7 +5,7 @@ import pytest
 
 from tunnelvision.critical import GridSpec
 from tunnelvision.domains import Disk, HalfPlane
-from tunnelvision.forms import (FormSample, FramePoint, form_norm_grid,
+from tunnelvision.forms import (FormSample, form_norm_grid,
                                 _hodge_star_matrix, boundary_expansion_check,
                                 sd_form_norm, selfdual_algebra_check,
                                 zero_locus_report)
@@ -19,14 +19,6 @@ SQRT2 = math.sqrt(2.0)
 def test_form_sample_identity_exact():
     s = FormSample.from_psi_norm(H3Point(0, 0, 1), 0.37)
     assert s.omega_norm_g0 == SQRT2 * s.psi_norm_h
-
-
-def test_frame_point_validation():
-    FramePoint(H3Point(0, 0, 1), V=1.5, df=(0.1, 0, 0), u=0.5)
-    with pytest.raises(ValueError):
-        FramePoint(H3Point(0, 0, 1), V=0.0, df=(0, 0, 0), u=0.5)
-    with pytest.raises(ValueError):
-        FramePoint(H3Point(0, 0, 1), V=1.0, df=(0, 0, 0), u=-1.0)
 
 
 def test_sd_norm_halfplane_prototype():
@@ -144,6 +136,19 @@ def test_zero_locus_empty_for_disk():
     assert report.samples == ()
     assert report.clusters == ()
     assert report.cross_referenced
+    assert report.nonconverged_evaluations == 0
+
+
+def test_zero_locus_counts_nonconverged_scan():
+    # at max depth 2 no grid evaluation can certify tol 1e-18: the report
+    # counts them and does not claim the (empty) scan is cross-referenced
+    d = Disk(0, 1.0)
+    grid = GridSpec.for_domain(d, 3)
+    report = zero_locus_report(d, grid, QuadratureConfig(tolerance=1e-18,
+                                                         max_depth=2))
+    assert not report.cross_referenced
+    assert report.nonconverged_evaluations == 27
+    assert report.to_obj()["nonconverged_evaluations"] == 27
 
 
 def test_zero_locus_finds_dogbone_pair(dogbone01):
@@ -183,8 +188,9 @@ def test_zero_locus_near_boundary_excluded_by_weighting(dogbone01):
 
 def test_form_norm_grid_rows(dogbone01):
     grid = GridSpec(x=(-0.2, 0.2, 3), y=(-0.2, 0.2, 3), z=(0.1, 2.0, 4))
-    rows = form_norm_grid(dogbone01, grid, QuadratureConfig(),
-                          u_mode="sqrt_f")
+    rows, nonconverged = form_norm_grid(dogbone01, grid, QuadratureConfig(),
+                                        u_mode="sqrt_f")
+    assert nonconverged == 0
     assert len(rows) == 3 * 3 * 4
     for x, y, z, omega, weighted in rows:
         assert omega >= 0.0
