@@ -16,7 +16,7 @@ from .hyperbolic import (H3Point, DiskPoint, MobiusMap, INFINITY, h3_distance,
 from .domains import (PlanarDomain, Disk, HalfPlane, SimplePolygon, Union,
                       Intersection, Difference, DogboneSpec, dogbone,
                       reflection_symmetric, hausdorff_distance,
-                      boundary_points, domain_from_obj)
+                      boundary_points, boundary_pieces, domain_from_obj)
 from .measure import (QuadratureConfig, MeasureValue, QuadratureError,
                       poisson_kernel, kernel_mass, harmonic_measure,
                       measure_many, measure_with_gradient,

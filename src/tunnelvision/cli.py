@@ -47,13 +47,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_quadrature(p):
     p.add_argument("--tol", type=float, default=1e-7,
-                   help="absolute quadrature tolerance")
-    p.add_argument("--max-depth", type=int, default=24,
-                   help="maximum angular refinement rounds")
+                   help="bound on the reported error of a measure value")
 
 
 def _config(args) -> QuadratureConfig:
-    return QuadratureConfig(tolerance=args.tol, max_depth=args.max_depth)
+    return QuadratureConfig(tolerance=args.tol)
 
 
 def _load_domain(path):
@@ -307,8 +305,7 @@ def main(argv=None) -> int:
             command = f"green {args.green_mode}"
         started = time.monotonic()
         code, parameters, outputs = args.fn(args)
-        tolerances = ({"tolerance": args.tol, "max_depth": args.max_depth}
-                      if "tol" in args else {})
+        tolerances = {"tolerance": args.tol} if "tol" in args else {}
         man = runio.RunManifest(command, parameters, tolerances,
                                 outputs=outputs)
         man.finish(started, args.out_dir, args.command)

@@ -119,11 +119,25 @@ class Verdict:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """A rectangular search grid; z levels are log-spaced."""
+    """A rectangular search grid; z levels are log-spaced.
+
+    Each axis is ``(lo, hi, count)`` with lo < hi and count >= 2, and the
+    z range is positive.
+    """
 
     x: tuple = (-0.9, 0.9, 20)
     y: tuple = (-0.9, 0.9, 20)
     z: tuple = (0.1, 10.0, 20)
+
+    def __post_init__(self):
+        for name in ("x", "y", "z"):
+            lo, hi, n = getattr(self, name)
+            if not lo < hi:
+                raise ValueError(f"grid {name} range needs lo < hi, got {lo}, {hi}")
+            if n < 2:
+                raise ValueError(f"grid {name} needs at least 2 points, got {n}")
+        if not self.z[0] > 0:
+            raise ValueError(f"grid z range must be positive, got {self.z[0]}")
 
     @staticmethod
     def for_domain(domain: PlanarDomain, n: int = 20) -> "GridSpec":

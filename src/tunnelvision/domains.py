@@ -6,10 +6,11 @@ is exact; behaviour exactly on the topological boundary is unspecified
 (either value may be returned), which is harmless because domains only enter
 through integrals.
 
-Beyond membership, every domain knows how to intersect rays with its
-primitive boundaries (the quadrature engine integrates the Poisson kernel
-radially in closed form between crossings), how to rescale itself, and how
-to sample its boundary for Hausdorff comparisons.
+Beyond membership, a tree's boundary is laid out by :func:`boundary_pieces`
+as oriented segments and circular arcs, the input of the measure's boundary
+sum.  Every domain also intersects rays with its primitive boundaries (for
+the reference quadrature over angle), rescales itself, and samples its
+boundary for Hausdorff comparisons.
 
 The JSON wire format is a tagged-union tree, e.g.::
 
@@ -22,7 +23,7 @@ which is the CLI's input contract.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,6 +40,8 @@ __all__ = [
     "reflection_symmetric",
     "hausdorff_distance",
     "boundary_points",
+    "BoundaryPieces",
+    "boundary_pieces",
     "domain_from_obj",
 ]
 
@@ -186,14 +189,16 @@ class HalfPlane(PlanarDomain):
                               "offset": self.offset}}
 
 
-def _segments_properly_intersect(p1, p2, q1, q2) -> bool:
-    def cross(a, b):
-        return a.real * b.imag - a.imag * b.real
+def _cross(a, b):
+    """Im(conj(a) b)."""
+    return a.real * b.imag - a.imag * b.real
 
-    d1 = cross(q2 - q1, p1 - q1)
-    d2 = cross(q2 - q1, p2 - q1)
-    d3 = cross(p2 - p1, q1 - p1)
-    d4 = cross(p2 - p1, q2 - p1)
+
+def _segments_properly_intersect(p1, p2, q1, q2) -> bool:
+    d1 = _cross(q2 - q1, p1 - q1)
+    d2 = _cross(q2 - q1, p2 - q1)
+    d3 = _cross(p2 - p1, q1 - p1)
+    d4 = _cross(p2 - p1, q2 - p1)
     return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
 
 
@@ -424,44 +429,247 @@ def hausdorff_distance(a, b) -> float:
     return float(max(d_ab, d_ba))
 
 
+# -- boundary arrangement -------------------------------------------------------
+
+# Curves within this relative distance of each other are one curve; near
+# misses within _TOUCH still cut each other (an extra cut is harmless).
+_SAME = 1e-12
+_TOUCH = 1e-10
+
+
+@dataclass(frozen=True)
+class BoundaryPieces:
+    """The boundary of a domain tree as oriented segments and circular arcs.
+
+    Every piece has the domain on its left.  Segment j is
+    ``seg_anchor[j] + s * seg_dir[j]`` (unit ``seg_dir``) for s from
+    ``seg_lo[j]`` to ``seg_hi[j]``; either end may be infinite.  Arc k is
+    ``arc_center[k] + arc_radius[k] * exp(i psi)`` for psi from
+    ``arc_start[k]`` through the signed ``arc_sweep[k]``.  ``at_infinity``
+    is the angle of directions in which the domain reaches infinity, and
+    ``extent`` bounds |xi| over every corner, anchor and circle.
+    """
+
+    seg_anchor: np.ndarray
+    seg_dir: np.ndarray
+    seg_lo: np.ndarray
+    seg_hi: np.ndarray
+    arc_center: np.ndarray
+    arc_radius: np.ndarray
+    arc_start: np.ndarray
+    arc_sweep: np.ndarray
+    at_infinity: float
+    extent: float
+
+    def corners(self) -> np.ndarray:
+        """The finite endpoints of the pieces."""
+        ends = np.concatenate([self.seg_lo, self.seg_hi])
+        anchors = np.concatenate([self.seg_anchor, self.seg_anchor])
+        dirs = np.concatenate([self.seg_dir, self.seg_dir])
+        fin = np.isfinite(ends)
+        psi = np.concatenate([self.arc_start, self.arc_start + self.arc_sweep])
+        return np.concatenate([
+            anchors[fin] + ends[fin] * dirs[fin],
+            np.tile(self.arc_center, 2) + np.tile(self.arc_radius, 2) * np.exp(1j * psi)])
+
+
+def _curves(domain: PlanarDomain, scale: float):
+    """The distinct boundary curves of the primitives.
+
+    Circles are ``(center, radius)``; lines are ``(anchor, unit direction,
+    covered parameter intervals)``, a half-plane covering its whole line and
+    a polygon edge its segment.  Coincident curves are merged into one, so
+    equal circles, identical lines and overlapping collinear edges each give
+    one curve.
+    """
+    circles, lines = [], []
+    tol = _SAME * scale
+
+    def add_line(anchor, u, lo, hi):
+        for p, v, cover in lines:
+            if abs(_cross(v, u)) <= _SAME and abs(_cross(v, anchor - p)) <= tol:
+                s = ((anchor - p) * v.conjugate()).real
+                k = (u * v.conjugate()).real  # +-1
+                a, b = s + k * lo, s + k * hi
+                cover.append((min(a, b), max(a, b)))
+                return
+        lines.append((anchor, u, [(lo, hi)]))
+
+    for prim in domain.primitives():
+        if isinstance(prim, Disk):
+            if not any(abs(c - prim.center) <= tol and abs(r - prim.radius) <= tol
+                       for c, r in circles):
+                circles.append((complex(prim.center), float(prim.radius)))
+        elif isinstance(prim, HalfPlane):  # normal is unit only to 1e-12
+            k = abs(prim.normal)
+            add_line(prim.offset * prim.normal / (k * k), -1j * prim.normal / k,
+                     -math.inf, math.inf)
+        else:  # SimplePolygon
+            for p, q in zip(*(e.tolist() for e in prim._edges())):
+                add_line(p, (q - p) / abs(q - p), 0.0, abs(q - p))
+    return circles, lines
+
+
+def _meet(a, b):
+    """Intersection points of two curves (see :func:`_curves`).
+
+    Tangencies and near misses within ``_TOUCH`` give the touching point.
+    """
+    if len(a) == 3 and len(b) == 3:
+        (p1, u1, _), (p2, u2, _) = a, b
+        den = _cross(u1, u2)
+        return [p1 + (_cross(p2 - p1, u2) / den) * u1] if den != 0.0 else []
+    if len(a) == 3:
+        a, b = b, a
+    c, r = a
+    if len(b) == 2:  # circle and circle: foot on the center line, half chord
+        d = abs(b[0] - c)
+        if d == 0.0:
+            return []
+        along = (d * d + r * r - b[1] * b[1]) / (2.0 * d)
+        h2 = r * r - along * along
+        base, e, normal = c, (b[0] - c) / d, 1j
+    else:  # circle and line: foot of the center on the line, half chord
+        p, e, _ = b
+        dist = _cross(e, p - c)
+        h2 = (r - dist) * (r + dist)
+        base, along, normal = p, -((p - c) * e.conjugate()).real, 1.0
+    if h2 < -_TOUCH * r * r:
+        return []
+    h = normal * math.sqrt(max(h2, 0.0))
+    return [base + (along + h) * e, base + (along - h) * e]
+
+
+def _intervals(cuts, closed):
+    """Consecutive (lo, hi) between sorted cuts; ``closed`` wraps by 2 pi."""
+    cuts = sorted(cuts)
+    if closed:
+        if not cuts:
+            return [(0.0, 2.0 * math.pi)]
+        ends = cuts + [cuts[0] + 2.0 * math.pi]
+    else:
+        ends = [-math.inf] + cuts + [math.inf]
+    return [(lo, hi) for lo, hi in zip(ends[:-1], ends[1:])
+            if math.isinf(hi - lo) or hi - lo > 1e-15 * max(1.0, abs(lo))]
+
+
+def boundary_pieces(domain: PlanarDomain) -> BoundaryPieces:
+    """The arrangement of the primitive boundaries, clipped to the tree's boundary.
+
+    Circles and lines (polygon edges included) are cut at their mutual
+    intersections and at edge ends.  A cut piece is kept when membership
+    differs between two probes on either side of its middle, and oriented
+    so that the domain lies on its left; all probes go through one
+    ``contains`` call.  Directions at infinity between consecutive
+    half-plane directions are probed far out, beyond every corner.
+    """
+    prims = list(domain.primitives())
+    scale = 1.0 + max(abs(p.offset) if isinstance(p, HalfPlane) else p.bounding_radius
+                      for p in prims)
+    circles, lines = _curves(domain, scale)
+    curves = circles + lines
+    cuts = [[] for _ in curves]
+    reach = scale  # beyond every cut
+    for i, a in enumerate(curves):
+        for j in range(i + 1, len(curves)):
+            for pt in _meet(a, curves[j]):
+                reach = max(reach, abs(pt))
+                cuts[i].append(pt)
+                cuts[j].append(pt)
+
+    # candidate pieces: (curve, lo, hi, probe parameter, length)
+    cands = []
+    for i, (c, r) in enumerate(circles):
+        params = [math.atan2((pt - c).imag, (pt - c).real) for pt in cuts[i]]
+        cands += [(i, lo, hi, 0.5 * (lo + hi), r * (hi - lo))
+                  for lo, hi in _intervals(params, True)]
+    for i, (p, u, cover) in enumerate(lines, len(circles)):
+        params = [((pt - p) * u.conjugate()).real for pt in cuts[i]]
+        params += [s for iv in cover for s in iv if math.isfinite(s)]
+        for lo, hi in _intervals(params, False):
+            mid = (0.5 * (lo + hi) if math.isfinite(lo + hi) else
+                   lo + reach if math.isfinite(lo) else
+                   hi - reach if math.isfinite(hi) else 0.0)
+            if any(a <= mid <= b for a, b in cover):
+                cands.append((i, lo, hi, mid, hi - lo))
+
+    # probe base points and left normals of the pieces run forward (arcs
+    # counterclockwise, lines along their direction)
+    idx, lo, hi, mid, length = np.array(cands, dtype=float).reshape(-1, 5).T
+    idx = idx.astype(int)
+    is_arc = idx < len(circles)
+    center = np.array([cv[0] for cv in curves], dtype=complex)[idx]
+    radius = np.array([cv[1] if len(cv) == 2 else 0.0 for cv in curves])[idx]
+    u = np.array([cv[1] if len(cv) == 3 else 1.0 for cv in curves], dtype=complex)[idx]
+    ray = np.exp(1j * mid)
+    base = np.where(is_arc, center + radius * ray, center + mid * u)
+    left = np.where(is_arc, -ray, 1j * u)
+    # each probe stays closer to its piece than to every other curve
+    gap = np.full((len(cands), len(curves)), np.inf)
+    for j, cv in enumerate(curves):
+        gap[:, j] = (np.abs(np.abs(base - cv[0]) - cv[1]) if len(cv) == 2
+                     else np.abs(_cross(cv[1], base - cv[0])))
+    gap[np.arange(len(cands)), idx] = np.inf
+    delta = np.minimum(np.minimum(0.5 * gap.min(axis=1, initial=np.inf),
+                                  1e-3 * length), reach)
+
+    # directions at infinity: arcs between consecutive half-plane directions
+    dirs = sorted({math.atan2(v.imag, v.real) % (2.0 * math.pi)
+                   for _, u0, cover in lines if any(math.isinf(a) for iv in cover for a in iv)
+                   for v in (u0, -u0)})
+    gaps = np.diff(np.array(dirs + dirs[:1]) if dirs else np.array([]))
+    gaps = gaps % (2.0 * math.pi)
+    far = (2.0 * (reach + 1.0) / np.sin(0.5 * gaps)
+           * np.exp(1j * (np.array(dirs) + 0.5 * gaps)))
+
+    inside = domain.contains(np.concatenate(
+        [base + delta * left, base - delta * left, far]))
+    n = len(cands)
+    on_left, on_right, at_far = inside[:n], inside[n:2 * n], inside[2 * n:]
+    keep = on_left != on_right
+    fwd, lo, hi = on_left[keep], lo[keep], hi[keep]
+    arc, seg = is_arc[keep], ~is_arc[keep]
+    pieces = BoundaryPieces(
+        seg_anchor=center[keep][seg],
+        seg_dir=np.where(fwd, u[keep], -u[keep])[seg],
+        seg_lo=np.where(fwd, lo, -hi)[seg],
+        seg_hi=np.where(fwd, hi, -lo)[seg],
+        arc_center=center[keep][arc],
+        arc_radius=radius[keep][arc],
+        arc_start=np.where(fwd, lo, hi)[arc],
+        arc_sweep=np.where(fwd, hi - lo, lo - hi)[arc],
+        at_infinity=float(gaps[at_far].sum()),
+        extent=scale,
+    )
+    return replace(pieces, extent=max(scale, float(np.abs(pieces.corners()).max(
+        initial=0.0))))
+
+
 def boundary_points(domain: PlanarDomain, per_primitive: int = 1024,
-                    window: float | None = None, probe: float = 1e-7) -> np.ndarray:
+                    window: float | None = None) -> np.ndarray:
     """Sample the topological boundary of a domain tree.
 
-    Each primitive's boundary arc is sampled at uniform parameter density and
-    clipped by the tree: a candidate survives iff membership differs on the
-    two sides of the primitive boundary at distance ``probe``.
+    Samples the pieces of :func:`boundary_pieces` at uniform parameter
+    density: ``per_primitive`` points per full turn of a circle and per
+    ``2 * window`` length of line, with lines clipped to ``|s| <= window``
+    about their anchor (``window`` defaults to twice the bounding radius,
+    or 10 for an unbounded domain).
     """
     if window is None:
         r = domain.bounding_radius
         window = 2.0 * r if math.isfinite(r) else 10.0
+    pc = boundary_pieces(domain)
     keep = []
-    for prim in domain.primitives():
-        if isinstance(prim, Disk):
-            t = np.linspace(0.0, 2.0 * math.pi, per_primitive, endpoint=False)
-            pts = prim.center + prim.radius * np.exp(1j * t)
-            normals = np.exp(1j * t)
-        elif isinstance(prim, HalfPlane):
-            tangent = 1j * prim.normal
-            base = prim.offset * prim.normal
-            t = np.linspace(-window, window, per_primitive)
-            pts = base + t * tangent
-            normals = np.full(per_primitive, prim.normal)
-        else:  # SimplePolygon
-            a, b = prim._edges()
-            chunks, nrm = [], []
-            n_edge = max(2, per_primitive // len(a))
-            for p, q in zip(a, b):
-                s = np.linspace(0.0, 1.0, n_edge, endpoint=False)
-                chunks.append(p + s * (q - p))
-                edge = (q - p) / abs(q - p)
-                nrm.append(np.full(n_edge, -1j * edge))
-            pts = np.concatenate(chunks)
-            normals = np.concatenate(nrm)
-        inner = domain.contains(pts - probe * normals)
-        outer = domain.contains(pts + probe * normals)
-        on_boundary = inner != outer
-        keep.append(pts[on_boundary])
+    for c, r, start, sweep in zip(pc.arc_center, pc.arc_radius,
+                                  pc.arc_start, pc.arc_sweep):
+        n = max(2, round(per_primitive * abs(sweep) / (2.0 * math.pi)))
+        keep.append(c + r * np.exp(1j * (start + np.linspace(0.0, sweep, n,
+                                                              endpoint=False))))
+    for p, u, lo, hi in zip(pc.seg_anchor, pc.seg_dir, pc.seg_lo, pc.seg_hi):
+        lo, hi = max(lo, -window), min(hi, window)
+        if lo < hi:
+            n = max(2, round(per_primitive * (hi - lo) / (2.0 * window)))
+            keep.append(p + np.linspace(lo, hi, n, endpoint=False) * u)
     out = np.concatenate(keep) if keep else np.array([], dtype=complex)
     if out.size == 0:
         raise ValueError("no boundary points survived clipping")

@@ -178,9 +178,7 @@ class ExpansionFit:
 
 
 def boundary_expansion_check(domain: PlanarDomain, boundary_foot: complex,
-                             side: str, z_list,
-                             config: QuadratureConfig | None = None
-                             ) -> ExpansionFit:
+                             side: str, z_list) -> ExpansionFit:
     """Fit the quadratic vanishing rate of the measure at the boundary plane.
 
     Over a foot point strictly inside the region fit ``1 - f`` against
@@ -195,9 +193,6 @@ def boundary_expansion_check(domain: PlanarDomain, boundary_foot: complex,
     zs = sorted(float(z) for z in z_list)
     if len(zs) < 2:
         raise ValueError("need at least two heights to fit")
-    if config is None:
-        smallest = (zs[0] ** 2) * 0.01
-        config = QuadratureConfig(tolerance=max(1e-13, min(1e-9, smallest)))
     inside = bool(domain.contains(boundary_foot))
     if side == "inside" and not inside:
         raise ValueError("foot point is not inside the region")
@@ -205,7 +200,7 @@ def boundary_expansion_check(domain: PlanarDomain, boundary_foot: complex,
         raise ValueError("foot point is not outside the region")
     pts = [H3Point(boundary_foot.real, boundary_foot.imag, z) for z in zs]
     residuals = [1.0 - mv.value if side == "inside" else mv.value
-                 for mv in measure_many(domain, pts, config)]
+                 for mv in measure_many(domain, pts)]
     if any(r <= 0 for r in residuals):
         raise ValueError("nonpositive residual; heights outside the regime")
     slope, intercept = np.polyfit(np.log(zs), np.log(residuals), 1)

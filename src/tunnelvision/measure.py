@@ -9,35 +9,49 @@ the Poisson integral of its indicator; it equals the fraction of geodesic
 rays from p that land in the region, lies strictly between 0 and 1, and is
 harmonic in p.
 
-Evaluation strategy: polar coordinates about the kernel's foot point (x, y).
-Along each ray the kernel mass has a closed-form antiderivative, and the
-indicator only changes across primitive boundaries, whose crossing radii are
-roots of quadratics/linear equations — so the radial integral is exact per
-ray, out to infinity, including the far-field tail.  The remaining angular
-integral is piecewise analytic with kinks at tangency directions; it is done
-by adaptive Gauss-Kronrod seeded at the known kink angles.  Gradients use
-the analytically differentiated kernel, whose radial antiderivatives are
-also closed-form, on the same partition.
+Evaluation strategy: Green's theorem turns the area integral into a sum over
+the region's boundary.  With w = x + iy the kernel's foot and
+Q = |xi - w|^2 + z^2,
 
-Every evaluation goes through :func:`measure_many`, which refines the
-angular integrals of all its points together; each point's result does not
+    f        = (1/2 pi) oint Im(conj(xi - w) dxi) / Q,
+    df/dx + i df/dy = i oint P dxi,
+    df/dz    = -(z/pi) oint Im(conj(xi - w) dxi) / Q^2,
+
+with the boundary oriented so that the region lies on its left.  The
+boundary is the arrangement of :func:`~tunnelvision.domains.boundary_pieces`:
+segments (possibly infinite) and circular arcs, on each of which all three
+integrals are elementary; an unbounded region adds the angle of its
+directions at infinity over 2 pi to f.  :func:`measure_many` evaluates the
+sum for many points at once, as one array over points x pieces; the terms of
+each point are added exactly (``math.fsum``), so a point's result does not
 depend on the points evaluated with it.
 
-Error accounting is the accumulated Kronrod-Gauss deviation of the angular
-integral; the radial direction contributes only roundoff.
+Error accounting is a rounding bound, not an estimate of truncation: with u
+the unit roundoff, the reported error of f is
+
+    8u * sum |terms| / 2 pi  +  8u * S * oint P ds,
+
+the first part for the arithmetic of the terms, the second for the rounding
+of the corners and the foot (S = |w| + the extent of the pieces), which moves
+the boundary by about u S.  ``converged`` means that this bound is within the
+requested tolerance.  The gradient error is bounded the same way, with
+|grad P| <= 4 P / z in the second part; it holds for z >= 1e-5 (at smaller
+heights next to a corner the gradient error can exceed it).
+
+The adaptive Gauss-Kronrod integral over angle of the polar decomposition
+(:func:`ray_quadrature`) is kept as an independent reference for tests.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
-from .domains import PlanarDomain
+from .domains import BoundaryPieces, PlanarDomain, boundary_pieces
 from .hyperbolic import H3Point
-from .quadrature import adaptive_integrate, integrate_many
+from .quadrature import adaptive_integrate
 
 __all__ = [
     "QuadratureConfig",
@@ -48,11 +62,13 @@ __all__ = [
     "harmonic_measure",
     "measure_many",
     "measure_with_gradient",
+    "ray_quadrature",
     "halfplane_closed_form",
     "disk_closed_form",
 ]
 
 _TWO_PI = 2.0 * math.pi
+_ROUND = 8.0 * 2.0**-53  # eight unit roundoffs
 
 
 class QuadratureError(RuntimeError):
@@ -65,25 +81,22 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances of the measure quadrature.
+    """Tolerance of a measure evaluation.
 
-    tolerance : absolute target on the measure value (gradients ride along).
-    max_depth : refinement rounds of the angular partition.
+    tolerance : bound on the reported error of a measure value; a value
+    whose error bound exceeds it is flagged ``converged=False``.
     """
 
     tolerance: float = 1e-7
-    max_depth: int = 24
 
     def __post_init__(self):
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
 
 
 @dataclass(frozen=True)
 class MeasureValue:
-    """A measure evaluation: value, error estimate, and convergence flag."""
+    """A measure evaluation: value, error bound, and convergence flag."""
 
     value: float
     error: float
@@ -110,105 +123,87 @@ def disk_closed_form(rho: float, z: float) -> float:
     return rho * rho / (rho * rho + z * z)
 
 
-# Radial antiderivatives along a ray at height z, t the distance from the foot.
-
-def _cdf(t, z):
-    """Of the kernel's radial mass: t^2/(t^2+z^2)."""
-    return t * t / (t * t + z * z)
-
-
-def _ix(t, z):
-    """For d/dx, d/dy: integral of t^2 (t^2+z^2)^-3 dt."""
-    t2z = t * t + z * z
-    return (0.25 * (t / (2.0 * z * z * t2z) + np.arctan(t / z) / (2.0 * z * z * z))
-            - t / (4.0 * t2z * t2z))
+# -- the boundary sum -------------------------------------------------------------
+#
+# Each helper returns (n points, terms) arrays: the terms of 2 pi f, the
+# complex terms of df/dx + i df/dy, the terms of df/dz, bounds on the size of
+# what enters each gradient term (xy, z), and the kernel mass along each
+# piece, oint P ds.
 
 
-def _iz(t, z):
-    """For d/dz: -z t^2/(t^2+z^2)^2."""
-    t2z = t * t + z * z
-    return -z * t * t / (t2z * t2z)
+def _atan_step(t0, t1, length, D, D2):
+    """atan(t1/D) - atan(t0/D) without cancellation; t0 may be -inf, t1 +inf."""
+    f0, f1 = np.isfinite(t0), np.isfinite(t1)
+    a0, a1 = np.where(f0, t0, 0.0), np.where(f1, t1, 0.0)
+    one_end = np.arctan2(D, np.where(f0, a0, -a1))
+    return np.where(f0 & f1, np.arctan2(length * D, D2 + a0 * a1),
+                    np.where(f0 | f1, one_end, math.pi))
 
 
-def _column(a):
-    """Per-row values as a column against (rows, k) arrays; scalars as they are."""
-    return a[:, None] if isinstance(a, np.ndarray) else a
+def _ratio(t, D2):
+    """t / (t^2 + D^2), zero at infinite t."""
+    fin = np.isfinite(t)
+    a = np.where(fin, t, 0.0)
+    return np.where(fin, a / (a * a + D2), 0.0)
 
 
-class _RayIntegrand:
-    """Angular integrand(s) of the polar decomposition about each foot point.
-
-    Built for a batch of points; called with angles and, per angle, the index
-    of the point whose ray it is.  Returns the measure density, then d/dx,
-    d/dy, d/dz when the gradient is requested.  Radial integrals between
-    successive boundary crossings use the closed-form antiderivatives of the
-    kernel and of its Cartesian derivatives, including the exact semi-infinite
-    tail beyond the last crossing.  Every row depends only on its own angle
-    and point.
-    """
-
-    def __init__(self, domain: PlanarDomain, points, want_gradient: bool):
-        self.domain = domain
-        self.foot = np.array([p.foot for p in points])
-        self.z = np.array([p.z for p in points])
-        feet = set(self.foot.tolist())
-        self.shared_foot = feet.pop() if len(feet) == 1 else None
-        self.want_gradient = want_gradient
-        r = domain.bounding_radius
-        base = np.abs(self.foot) + self.z + (r if math.isfinite(r) else 1.0)
-        self.far_pad = np.maximum(self.z, base)
-
-    def __call__(self, phis: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        # a foot shared by all points (one point, or heights on one vertical
-        # line) and the height of a single point enter as scalars; scalars
-        # give each row the same bits as per-row arrays, and cost less
-        foot = self.foot[rows] if self.shared_foot is None else self.shared_foot
-        z, far_pad = ((self.z[0], self.far_pad[0]) if len(self.z) == 1
-                      else (self.z[rows], self.far_pad[rows]))
-        dirs = np.exp(1j * phis)
-        ts = self.domain.ray_crossings(foot, dirs)
-        ts[~(ts > 0.0)] = np.nan
-        ts = np.sort(ts, axis=1)  # NaN sorts last
-        # far radius per ray: beyond every crossing of this ray
-        t_far = 1.5 * np.fmax.reduce(ts, axis=1, initial=0.0) + far_pad
-        ts = np.where(np.isnan(ts), t_far[:, None], ts)
-        edges = np.concatenate([np.zeros((len(phis), 1)), ts], axis=1)
-
-        mids = 0.5 * (edges[:, :-1] + edges[:, 1:])
-        inside = self.domain.contains(_column(foot) + mids * dirs[:, None])
-        inside_tail = self.domain.contains(foot + (2.0 * t_far) * dirs)
-
-        def inside_sum(antiderivative):
-            # sum of the antiderivative's increments over the inside pieces
-            steps = antiderivative[:, 1:] - antiderivative[:, :-1]
-            return np.where(inside, steps, 0.0).sum(axis=1)
-
-        cdf = _cdf(edges, _column(z))
-        d_val = inside_sum(cdf)
-        d_val += np.where(inside_tail, 1.0 - cdf[:, -1], 0.0)
-        if not self.want_gradient:
-            return d_val / _TWO_PI
-
-        out = np.empty((len(phis), 4))
-        out[:, 0] = d_val / _TWO_PI
-        ix = _ix(edges, _column(z))
-        dix = inside_sum(ix)
-        dix += np.where(inside_tail, math.pi / (16.0 * z * z * z) - ix[:, -1], 0.0)
-        radial = (4.0 * z * z / math.pi) * dix
-        out[:, 1] = radial * np.cos(phis)
-        out[:, 2] = radial * np.sin(phis)
-        iz = _iz(edges, _column(z))
-        diz = inside_sum(iz)
-        diz += np.where(inside_tail, -iz[:, -1], 0.0)
-        out[:, 3] = diz / math.pi
-        return out
+def _segment_terms(pc: BoundaryPieces, w, z):
+    u = pc.seg_dir
+    rel = pc.seg_anchor - w
+    c = rel.real * u.imag - rel.imag * u.real      # distance of w left of the line
+    b = rel.real * u.real + rel.imag * u.imag      # anchor's position along it
+    t0, t1 = pc.seg_lo + b, pc.seg_hi + b
+    D2 = c * c + z * z
+    D = np.sqrt(D2)
+    dat = _atan_step(t0, t1, pc.seg_hi - pc.seg_lo, D, D2)
+    r0, r1 = _ratio(t0, D2), _ratio(t1, D2)
+    # J = int dt / (t^2 + D^2)^2 over the piece
+    J = (r1 - r0) / (2.0 * D2) + dat / (2.0 * D * D2)
+    J_size = (np.abs(r1) + np.abs(r0)) / (2.0 * D2) + dat / (2.0 * D * D2)
+    k = z * z / math.pi
+    return (c / D * dat, 1j * u * k * J, -(z * c / math.pi) * J,
+            k * J_size, (z * np.abs(c) / math.pi) * J_size, k * J)
 
 
-def _angular_breakpoints(domain: PlanarDomain, foot: complex) -> list[float]:
-    angles = {0.0, math.pi, _TWO_PI}
-    for a in domain.kink_angles(foot):
-        angles.add(a % _TWO_PI)
-    return sorted(angles)
+def _arc_terms(pc: BoundaryPieces, w, z):
+    r, sweep = pc.arc_radius, pc.arc_sweep
+    d = pc.arc_center - w
+    ad = np.abs(d)
+    theta_d = np.angle(d)
+    # Q = A + C cos(theta) along the arc, theta measured from the direction d
+    A = ad * ad + r * r + z * z
+    C = 2.0 * r * ad
+    K = np.sqrt(((ad - r) ** 2 + z * z) * ((ad + r) ** 2 + z * z))  # sqrt(A^2 - C^2)
+    ta = pc.arc_start - theta_d
+    tb = ta + sweep
+    half = np.arctan2(K * np.sin(0.5 * sweep),
+                      A * np.cos(0.5 * sweep) + C * np.cos(ta + 0.5 * sweep))
+    half = np.where(np.abs(sweep) >= _TWO_PI, np.copysign(math.pi, sweep), half)
+    I1 = 2.0 * half / K                           # int dtheta / Q
+    h = 0.5 * ((r - ad) * (r + ad) - z * z)        # r^2 - A/2
+    ends = pc.arc_center + r * np.exp(1j * np.stack([pc.arc_start,
+                                                     pc.arc_start + sweep]))
+    Qa, Qb = np.abs(ends[0] - w) ** 2 + z * z, np.abs(ends[1] - w) ** 2 + z * z
+    sin_q = np.sin(tb) / Qb - np.sin(ta) / Qa      # [sin(theta) / Q]
+    sin_q_size = np.abs(np.sin(tb) / Qb) + np.abs(np.sin(ta) / Qa)
+    K2 = K * K
+    I2 = (A * I1 - C * sin_q) / K2                 # int dtheta / Q^2
+    Ic = (A * sin_q - C * I1) / K2                 # int cos(theta) dtheta / Q^2
+    Is = (np.cos(ta) - np.cos(tb)) / (Qa * Qb)     # int sin(theta) dtheta / Q^2
+    I2_size = (A * np.abs(I1) + C * sin_q_size) / K2
+    Ic_size = (A * sin_q_size + C * np.abs(I1)) / K2
+    Is_size = (np.abs(np.cos(ta)) + np.abs(np.cos(tb))) / (Qa * Qb)
+    k = z * z * r / math.pi
+    gxy = -k * np.exp(1j * theta_d) * (Ic + 1j * Is)
+    gz = -(z / math.pi) * (0.5 * I1 + h * I2)
+    gz_size = (z / math.pi) * (0.5 * np.abs(I1) + np.abs(h) * I2_size)
+    value = np.concatenate([np.broadcast_to(0.5 * sweep, I1.shape), h * I1], axis=1)
+    return value, gxy, gz, k * (Ic_size + Is_size), gz_size, k * np.abs(I2)
+
+
+def _fsum_rows(terms):
+    """Exactly rounded sum of each row."""
+    return np.array([math.fsum(row) for row in terms.tolist()])
 
 
 def measure_many(domain: PlanarDomain, points,
@@ -218,40 +213,49 @@ def measure_many(domain: PlanarDomain, points,
 
     Returns a list of MeasureValue, one per point, in order.  With
     ``gradient=True`` returns ``(values, gradients (n, 3), gradient errors
-    (n, 3))``; the gradient integrates the differentiated kernel on the
-    value's partition, it is not a finite difference.  Each point's result is
-    the same as when it is evaluated alone.
+    (n, 3))``; the gradient is the boundary sum of the differentiated
+    kernel, not a finite difference.  Each point's result is the same as
+    when it is evaluated alone.
     """
     points = list(points)
-    kinks = cache(lambda foot: _angular_breakpoints(domain, foot))  # per foot
-    bps = [kinks(p.foot) for p in points]
-    integrand = _RayIntegrand(domain, points, gradient)
-    res = integrate_many(integrand, 0.0, _TWO_PI, config.tolerance, bps,
-                         max_rounds=config.max_depth)
-    values = [MeasureValue(value=min(max(float(r.value[0]), 0.0), 1.0),
-                           error=float(r.error[0]), converged=r.converged)
-              for r in res]
+    w = np.array([p.foot for p in points], dtype=complex)[:, None]
+    z = np.array([p.z for p in points], dtype=float)[:, None]
+    pc = boundary_pieces(domain)
+    terms, gxy, gz, gxy_size, gz_size, mass = (
+        np.concatenate(parts, axis=1)
+        for parts in zip(_segment_terms(pc, w, z), _arc_terms(pc, w, z)))
+    terms = np.concatenate([terms, np.full((len(points), 1), pc.at_infinity)], axis=1)
+    mass = mass.sum(axis=1)
+    scale = np.abs(w[:, 0]) + pc.extent
+    err = (_ROUND * np.abs(terms).sum(axis=1) / _TWO_PI
+           + _ROUND * scale * mass)
+    values = [MeasureValue(value=min(max(v, 0.0), 1.0), error=e,
+                           converged=bool(e <= config.tolerance))
+              for v, e in zip((_fsum_rows(terms) / _TWO_PI).tolist(), err.tolist())]
     if not gradient:
         return values
-    grads = np.array([r.value[1:4] for r in res]).reshape(-1, 3)
-    errs = np.array([r.error[1:4] for r in res]).reshape(-1, 3)
-    return values, grads, errs
+
+    grads = np.stack([_fsum_rows(gxy.real), _fsum_rows(gxy.imag), _fsum_rows(gz)],
+                     axis=1)
+    shift = _ROUND * scale * 4.0 * mass / z[:, 0]  # |grad P| <= 4 P / z
+    xy_err = _ROUND * gxy_size.sum(axis=1) + shift
+    z_err = _ROUND * gz_size.sum(axis=1) + shift
+    return values, grads, np.stack([xy_err, xy_err, z_err], axis=1)
 
 
 def harmonic_measure(domain: PlanarDomain, p: H3Point,
                      config: QuadratureConfig = QuadratureConfig()) -> MeasureValue:
     """Harmonic measure of ``domain`` seen from ``p``.
 
-    Returns a value in [0, 1] with an error estimate; ``converged`` is False
-    when the angular refinement hit its depth limit before certifying the
-    tolerance (the best estimate is still returned).
+    Returns a value in [0, 1] with an error bound; ``converged`` is False
+    when the bound exceeds the configured tolerance.
     """
     return measure_many(domain, [p], config)[0]
 
 
 def measure_with_gradient(domain: PlanarDomain, p: H3Point,
                           config: QuadratureConfig = QuadratureConfig()):
-    """Measure and its Euclidean gradient in one pass over a shared partition.
+    """Measure and its Euclidean gradient from one boundary sum.
 
     Returns ``(MeasureValue, gradient (3,), gradient_error (3,))``; the
     gradient is (df/dx, df/dy, df/dz) and the hyperbolic gradient norm is
@@ -261,13 +265,72 @@ def measure_with_gradient(domain: PlanarDomain, p: H3Point,
     return values[0], grads[0], errs[0]
 
 
+# -- reference quadrature ---------------------------------------------------------
+
+
+def _cdf(t, z):
+    """The kernel's radial mass out to distance t from the foot: t^2/(t^2+z^2)."""
+    return t * t / (t * t + z * z)
+
+
+class _RayIntegrand:
+    """Angular density of the measure seen from one point.
+
+    Along each ray from the foot the kernel mass has the closed-form
+    antiderivative :func:`_cdf`, and the indicator changes only at primitive
+    boundary crossings, so the radial integral is exact out to infinity.
+    """
+
+    def __init__(self, domain: PlanarDomain, p: H3Point):
+        self.domain = domain
+        self.foot = p.foot
+        self.z = p.z
+        r = domain.bounding_radius
+        self.far_pad = max(p.z, abs(p.foot) + p.z + (r if math.isfinite(r) else 1.0))
+
+    def __call__(self, phis: np.ndarray) -> np.ndarray:
+        dirs = np.exp(1j * phis)
+        ts = self.domain.ray_crossings(self.foot, dirs)
+        ts[~(ts > 0.0)] = np.nan
+        ts = np.sort(ts, axis=1)  # NaN sorts last
+        # far radius per ray: beyond every crossing of this ray
+        t_far = 1.5 * np.fmax.reduce(ts, axis=1, initial=0.0) + self.far_pad
+        ts = np.where(np.isnan(ts), t_far[:, None], ts)
+        edges = np.concatenate([np.zeros((len(phis), 1)), ts], axis=1)
+        mids = 0.5 * (edges[:, :-1] + edges[:, 1:])
+        inside = self.domain.contains(self.foot + mids * dirs[:, None])
+        inside_tail = self.domain.contains(self.foot + (2.0 * t_far) * dirs)
+        cdf = _cdf(edges, self.z)
+        d_val = np.where(inside, cdf[:, 1:] - cdf[:, :-1], 0.0).sum(axis=1)
+        d_val += np.where(inside_tail, 1.0 - cdf[:, -1], 0.0)
+        return d_val / _TWO_PI
+
+
+def ray_quadrature(domain: PlanarDomain, p: H3Point,
+                   tolerance: float) -> MeasureValue:
+    """Harmonic measure by adaptive quadrature over angle: the reference.
+
+    Integrates :class:`_RayIntegrand` with Gauss-Kronrod, seeded with kinks
+    at the domain's ``kink_angles`` and at the directions of the corners of
+    its boundary arrangement.  Independent of the boundary sum except for
+    those seeds; ``error`` is the Kronrod-Gauss estimate.
+    """
+    foot = p.foot
+    corners = boundary_pieces(domain).corners() - foot
+    kinks = [*domain.kink_angles(foot), *np.angle(corners).tolist()]
+    bps = sorted({0.0, math.pi, _TWO_PI, *(a % _TWO_PI for a in kinks)})
+    res = adaptive_integrate(_RayIntegrand(domain, p), 0.0, _TWO_PI, tolerance, bps)
+    return MeasureValue(value=min(max(float(res.value[0]), 0.0), 1.0),
+                        error=float(res.error[0]), converged=res.converged)
+
+
 def kernel_mass(p: H3Point, config: QuadratureConfig = QuadratureConfig()) -> float:
     """Total kernel mass over the plane; approximately 1.
 
     Integrates the radial closed form out to ``max(z, 1)`` through the
-    angular machinery and adds the exact analytic tail of the kernel
-    beyond that radius.  Raises QuadratureError if the angular tolerance was
-    not certified.
+    adaptive angular quadrature and adds the exact analytic tail of the
+    kernel beyond that radius.  Raises QuadratureError if the angular
+    tolerance was not certified.
     """
     rho_far = max(p.z, 1.0)
     z2 = p.z**2
@@ -276,8 +339,7 @@ def kernel_mass(p: H3Point, config: QuadratureConfig = QuadratureConfig()) -> fl
     def f(phis):
         return np.full((len(phis), 1), body / _TWO_PI)
 
-    res = adaptive_integrate(f, 0.0, _TWO_PI, config.tolerance,
-                             max_rounds=config.max_depth)
+    res = adaptive_integrate(f, 0.0, _TWO_PI, config.tolerance)
     tail = z2 / (rho_far**2 + z2)
     total = res.value[0] + tail
     if not res.converged:

@@ -10,8 +10,9 @@ import sys
 
 import pytest
 
-from tunnelvision import critical, forms, runio
+from tunnelvision import critical, forms, measure, runio
 from tunnelvision.domains import dogbone
+from tunnelvision.hyperbolic import H3Point
 from tunnelvision.quadrature import QuadratureResult, adaptive_integrate
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
@@ -35,11 +36,13 @@ def test_traced_workload_calls(tracer):
     # called through their modules, as the workloads do, so the wrappers run
     critical.dogbone_experiment(0.3, n_samples=16, threads=1)
     d = dogbone(0.3)
-    grid = critical.GridSpec(x=(0.3, 0.3, 1), y=(0.2, 0.2, 1), z=(0.3, 3.0, 3))
+    grid = critical.GridSpec(x=(0.2, 0.3, 2), y=(0.1, 0.2, 2), z=(0.3, 3.0, 3))
     critical.almost_kahler_verdict(d, grid, threads=2)
     forms.zero_locus_report(d, grid, threads=2)
+    # the workloads no longer reach the ray integrand; the reference does
+    measure.ray_quadrature(d, H3Point(0.0, 0.0, 1.0), 1e-9)
     names = {span[2] for span in tracer.spans}
-    assert "measure.integrand" in names
+    assert {"measure.integrand", "quadrature.adaptive_integrate"} <= names
     assert {"critical.dogbone_experiment", "critical.almost_kahler_verdict",
             "forms.zero_locus_report"} <= names
 

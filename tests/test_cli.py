@@ -53,7 +53,7 @@ def test_measure_disk(disk_json, tmp_path, capsys):
     manifest = json.loads((tmp_path / "measure.manifest.json").read_text())
     _schema("manifest.schema.json")(manifest)
     assert manifest["command"] == "measure"
-    assert manifest["tolerances"] == {"tolerance": 1e-7, "max_depth": 24}
+    assert manifest["tolerances"] == {"tolerance": 1e-7}
     assert "seed" not in manifest
 
 
@@ -129,9 +129,9 @@ def test_dogbone_fat_corridor_exit(tmp_path):
 
 
 def test_dogbone_nonconverged_exit(tmp_path):
-    # max depth 2 cannot certify tol 1e-18 anywhere: the inequality and both
-    # axis extrema rest on non-converged evaluations
-    rc = main(["dogbone", "--eps", "0.1", "--tol", "1e-18", "--max-depth", "2",
+    # no error bound reaches tol 1e-18 (rounding alone exceeds it): the
+    # inequality and both axis extrema rest on non-converged evaluations
+    rc = main(["dogbone", "--eps", "0.1", "--tol", "1e-18",
                "--samples", "20", "--out-dir", str(tmp_path)])
     assert rc == 2
     report = json.loads((tmp_path / "report.json").read_text())
@@ -142,7 +142,7 @@ def test_dogbone_nonconverged_exit(tmp_path):
 
 def test_profile_nonconverged_exit(dogbone_json, tmp_path):
     rc = main(["profile", "--domain", dogbone_json, "--z-min", "0.1",
-               "--z-max", "2", "--n", "5", "--tol", "1e-18", "--max-depth", "2",
+               "--z-max", "2", "--n", "5", "--tol", "1e-18",
                "--out-dir", str(tmp_path)])
     assert rc == 2
     assert (tmp_path / "profile.csv").exists()
@@ -158,7 +158,8 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_removed_flags_are_rejected(disk_json, tmp_path):
-    for flag, value in (("--cutoff", "64"), ("--threads", "2"), ("--seed", "0")):
+    for flag, value in (("--cutoff", "64"), ("--threads", "2"), ("--seed", "0"),
+                        ("--max-depth", "24")):
         assert main(["profile", "--domain", disk_json, "--z-min", "0.1",
                      "--z-max", "2", "--n", "5", flag, value,
                      "--out-dir", str(tmp_path)]) == 1
@@ -202,10 +203,10 @@ def test_critical_cli(disk_json, tmp_path):
 
 
 def test_critical_nonconverged_exit(disk_json, tmp_path):
-    # at max depth 2 no grid or axis evaluation can certify tol 1e-18; the
-    # verdict is still written, counts them, and the exit code says so
+    # no grid or axis evaluation can certify tol 1e-18; the verdict is
+    # still written, counts them, and the exit code says so
     rc = main(["critical", "--domain", disk_json, "--grid-n", "3",
-               "--tol", "1e-18", "--max-depth", "2", "--out-dir", str(tmp_path)])
+               "--tol", "1e-18", "--out-dir", str(tmp_path)])
     assert rc == 2
     verdict = json.loads((tmp_path / "verdict.json").read_text())
     _schema("verdict.schema.json")(verdict)
@@ -272,11 +273,11 @@ def test_quantize_cli(dogbone_json, tmp_path):
 
 def test_quantize_below_float_resolution_terminates(dogbone_json, tmp_path):
     # tol 1e-18 asks the level solve for a log-height bracket narrower than
-    # the float spacing there; the solve stops at that spacing instead.  At
-    # max depth 2 the final evaluations cannot certify that tolerance, so
-    # the configuration is written and the exit code says inconclusive
+    # the float spacing there; the solve stops at that spacing instead.  No
+    # evaluation can certify that tolerance, so the configuration is
+    # written and the exit code says inconclusive
     rc = main(["quantize", "--domain", dogbone_json, "--k", "2", "--ell", "1",
-               "--tol", "1e-18", "--max-depth", "2", "--out-dir", str(tmp_path)])
+               "--tol", "1e-18", "--out-dir", str(tmp_path)])
     assert rc == 2
     obj = json.loads((tmp_path / "configuration.json").read_text())
     assert len(obj["points"]) == 2

@@ -274,3 +274,17 @@ def test_verdict_rejects_halfplane():
 def test_verdict_rejects_domain_missing_origin():
     with pytest.raises(ValueError):
         almost_kahler_verdict(Disk(5.0, 1.0), None, CFG)
+
+
+def test_grid_spec_validation():
+    d = Disk(0, 1.0)
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="at least 2 points"):
+            GridSpec.for_domain(d, n)
+    with pytest.raises(ValueError, match="lo < hi"):
+        GridSpec(z=(2.0, 1.0, 3))
+    with pytest.raises(ValueError, match="lo < hi"):
+        GridSpec(x=(0.3, 0.3, 2))
+    with pytest.raises(ValueError, match="positive"):
+        GridSpec(z=(-1.0, 1.0, 3))
+    assert len(GridSpec.for_domain(d, 2).points()) == 8

@@ -140,12 +140,11 @@ def test_zero_locus_empty_for_disk():
 
 
 def test_zero_locus_counts_nonconverged_scan():
-    # at max depth 2 no grid evaluation can certify tol 1e-18: the report
-    # counts them and does not claim the (empty) scan is cross-referenced
+    # no grid evaluation can certify tol 1e-18: the report counts them and
+    # does not claim the (empty) scan is cross-referenced
     d = Disk(0, 1.0)
     grid = GridSpec.for_domain(d, 3)
-    report = zero_locus_report(d, grid, QuadratureConfig(tolerance=1e-18,
-                                                         max_depth=2))
+    report = zero_locus_report(d, grid, QuadratureConfig(tolerance=1e-18))
     assert not report.cross_referenced
     assert report.nonconverged_evaluations == 27
     assert report.to_obj()["nonconverged_evaluations"] == 27
@@ -167,7 +166,7 @@ def test_zero_locus_near_boundary_excluded_by_weighting(dogbone01):
     # deep inside the corridor (heights well below the corridor half-height)
     # the raw form norm vanishes quadratically with z, but the u-weighted
     # norm blows up there, so no near-boundary samples are reported
-    grid = GridSpec(x=(-0.05, 0.05, 3), y=(0.0, 0.0, 1), z=(2e-5, 1e-4, 4))
+    grid = GridSpec(x=(-0.05, 0.05, 3), y=(-1e-4, 1e-4, 2), z=(2e-5, 1e-4, 4))
     report = zero_locus_report(dogbone01, grid, QuadratureConfig(),
                                threshold=0.05, u_mode="height")
     assert report.samples == ()

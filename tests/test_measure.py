@@ -45,8 +45,6 @@ def test_kernel_mass_near_one():
 def test_config_validation():
     with pytest.raises(ValueError):
         QuadratureConfig(tolerance=0.0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(max_depth=0)
 
 
 def test_whole_plane_as_huge_disk():
@@ -110,17 +108,17 @@ def test_measure_value_invariants(dogbone01):
     assert abs(mv.value + rest.value - 1.0) <= mv.error + rest.error
 
 
-def test_kernel_mass_certifies_even_when_cramped():
+def test_kernel_mass_certifies_tight_tolerance():
     # the angular density of the full-plane mass is constant, so the
-    # closed-form radial scheme certifies any tolerance; the flagged-error
-    # branch guards future integrands that are not radially exact
-    cramped = QuadratureConfig(tolerance=1e-14, max_depth=1)
-    assert kernel_mass(H3Point(0, 0, 1), cramped) == pytest.approx(1.0,
-                                                                   abs=1e-9)
+    # closed-form radial scheme certifies a tolerance near roundoff; the
+    # flagged-error branch guards integrands that are not radially exact
+    tight = QuadratureConfig(tolerance=1e-14)
+    assert kernel_mass(H3Point(0, 0, 1), tight) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_nonconvergence_is_flagged(dogbone01):
-    cramped = QuadratureConfig(tolerance=1e-18, max_depth=2)
+    # rounding alone exceeds tol 1e-18
+    cramped = QuadratureConfig(tolerance=1e-18)
     mv = harmonic_measure(dogbone01, H3Point(0.3, 0.2, 0.7), cramped)
     assert not mv.converged
     # best estimate still sane
@@ -136,7 +134,7 @@ def test_batched_matches_one_point_calls():
     pts = [H3Point(0, 0, 1), H3Point(0, 0, 0.2), H3Point(0.3, 0.2, 0.7),
            H3Point(-1.0, 0.1, 0.05), H3Point(0.3, 0.2, 2.5),
            H3Point(2.0, -1.0, 3.0)]
-    cramped = QuadratureConfig(tolerance=1e-18, max_depth=2)
+    cramped = QuadratureConfig(tolerance=1e-18)
     flags = set()
     for domain, cfg, batch in itertools.product(
             domains, (QuadratureConfig(), cramped), (pts[:2], pts)):
