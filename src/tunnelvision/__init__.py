@@ -25,7 +25,8 @@ from .critical import (AxisProfile, CriticalPointReport, Verdict, GridSpec,
                        RefinementError, axis_profile, axis_critical_points,
                        dogbone_experiment, DogboneReport,
                        refine_critical_point_3d, almost_kahler_verdict)
-from .groups import (PolygonData, GroupElement, DedupCollisionError,
+from .groups import (PolygonData, GroupElement, GroupElements,
+                     DedupCollisionError,
                      regular_polygon, min_genus, side_pairing_generators,
                      polygon_contains, surface_relator, enumerate_group,
                      orbit_cloud, limit_set_sample)

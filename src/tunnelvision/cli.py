@@ -157,7 +157,7 @@ def cmd_group(args):
     if args.mode == "orbit":
         elements = enumerate_group(gens, args.depth)
         pts = orbit_cloud(elements, DiskPoint(0j))
-        lengths = [el.word_length for el in elements]
+        lengths = elements.lengths.tolist()
     else:
         pts = limit_set_sample(args.genus, args.depth)
         lengths = [args.depth] * len(pts)

@@ -26,6 +26,7 @@ import numpy as np
 
 from .critical import _bracketed_root
 from .domains import PlanarDomain
+from .groups import GroupElements
 from .hyperbolic import (H3Point, apply_h3_batch, geodesic_point, h3_distance,
                          h3_distance_batch, MobiusMap)
 from .measure import QuadratureConfig, harmonic_measure, measure_many
@@ -58,10 +59,14 @@ _MIN_POLE_DISTANCE = 1e-8
 
 @dataclass(frozen=True)
 class PointConfiguration:
-    """k distinct points with optional group, cached measure values and flags."""
+    """k distinct points with optional group, cached measure values and flags.
+
+    ``group`` is kept as a :class:`GroupElements` record (a sequence of
+    elements is converted by :meth:`GroupElements.of`).
+    """
 
     points: tuple
-    group: tuple | None = None
+    group: GroupElements | None = None
     f_values: tuple | None = None
     f_errors: tuple | None = None
     f_converged: tuple | None = None
@@ -81,7 +86,7 @@ class PointConfiguration:
             if any(not 0.0 < v < 1.0 for v in vals):
                 raise ValueError("measure values must lie strictly in (0, 1)")
         if self.group is not None:
-            object.__setattr__(self, "group", tuple(self.group))
+            object.__setattr__(self, "group", GroupElements.of(self.group))
 
     def __len__(self):
         return len(self.points)
@@ -172,36 +177,41 @@ def green_flux(pole: H3Point, geodesic_radius: float, quad_n: int = 64,
     return area_factor * math.fsum(terms)
 
 
-def _shell_sums(elements, pole: H3Point, q: H3Point):
-    """Per-word-length sums of the Poincare series terms at q."""
-    mats = np.array([el.map.matrix() for el in elements])
-    lengths = np.array([el.word_length for el in elements])
-    orbit = apply_h3_batch(mats, pole)
+def _shell_sums(matrices, lengths, pole: H3Point, q: H3Point):
+    """Per-word-length sums of the Poincare series terms at q.
+
+    ``lengths`` are non-decreasing, so each shell is one slice of the terms.
+    """
+    orbit = apply_h3_batch(matrices, pole)
     d = h3_distance_batch(orbit, q)
     dmin = float(d.min())
     if dmin < _MIN_POLE_DISTANCE:
         raise PoleCollisionError(
             f"evaluation point within {dmin:.2e} of an orbit point")
     terms = 1.0 / np.expm1(2.0 * d)
-    n_shells = int(lengths.max()) + 1
-    return [math.fsum(terms[lengths == s]) for s in range(n_shells)]
+    cuts = np.searchsorted(lengths, np.arange(lengths[-1] + 2)).tolist()
+    return [math.fsum(terms[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
 
 
 def quotient_green(elements, pole_lift: H3Point, q: H3Point,
                    shells: int) -> SeriesValue:
     """Group-averaged Green's function, truncated at ``shells`` word length.
 
-    The tail estimate extrapolates the last three shell sums geometrically
-    (using the more pessimistic of the two consecutive ratios).  Raises
-    NonConvergentSeriesError if the shell sums fail to decay, and
-    PoleCollisionError if ``q`` is within 1e-8 of the truncated orbit.
+    ``elements`` is a :class:`GroupElements` or a sequence of
+    :class:`GroupElement` ordered by word length (see
+    :meth:`GroupElements.of`).  The tail estimate extrapolates the last three
+    shell sums geometrically (using the more pessimistic of the two
+    consecutive ratios).  Raises NonConvergentSeriesError if the shell sums
+    fail to decay, and PoleCollisionError if ``q`` is within 1e-8 of the
+    truncated orbit.
     """
     if shells < 0:
         raise ValueError("shells must be >= 0")
-    usable = [el for el in elements if el.word_length <= shells]
-    if not usable:
+    elements = GroupElements.of(elements)
+    n = int(np.searchsorted(elements.lengths, shells, side="right"))
+    if not n:
         raise ValueError("no group elements within the shell bound")
-    sums = _shell_sums(usable, pole_lift, q)
+    sums = _shell_sums(elements.matrices[:n], elements.lengths[:n], pole_lift, q)
     value = math.fsum(sums)
     if len(sums) == 1:
         return SeriesValue(value, 0, 0.0, tuple(sums))

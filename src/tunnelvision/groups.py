@@ -24,20 +24,29 @@ with the other new words and with shell n - 1, by the orbit point of 0 (its
 hyperboloid coordinate 2ab, unchanged under M -> -M).  Distinct orbit points
 lie at least 2 sinh(ya) apart (4.39 for genus 2), as the polygon holds the
 disk of radius ya about 0, so no tolerance is needed.
+
+:func:`enumerate_group` returns the shells as one array record,
+:class:`GroupElements`: the renormalized matrices, word lengths, and the
+parent and letter index of every element.  Series and orbit computations
+read those arrays directly.  The record is also a sequence of
+:class:`GroupElement`; an element object and its word string are built only
+when the record is indexed or iterated.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from collections.abc import Sequence
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .hyperbolic import DiskPoint, MobiusMap
+from .hyperbolic import DiskPoint, MobiusMap, renormalize_batch
 
 __all__ = [
     "PolygonData",
     "GroupElement",
+    "GroupElements",
     "DedupCollisionError",
     "regular_polygon",
     "min_genus",
@@ -82,6 +91,99 @@ class GroupElement:
     @property
     def word_length(self) -> int:
         return 0 if not self.word else self.word.count(".") + 1
+
+
+def _frozen(values, dtype) -> np.ndarray:
+    arr = np.asarray(values, dtype=dtype).view()
+    arr.flags.writeable = False
+    return arr
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class GroupElements(Sequence):
+    """Group elements as one array record, ordered by word length.
+
+    ``matrices`` (n, 2, 2) are unit-determinant as :class:`MobiusMap`'s rule
+    leaves them and ``lengths`` are the word lengths, non-decreasing.  The
+    word of element i is ``names[letter[i]]`` appended with a '.' to the
+    word of ``parent[i]``, or alone when that word is empty or the parent
+    is -1; the identity has letter -1.  A parent lies in the shell before
+    its child's.
+
+    As a sequence of :class:`GroupElement` it supports ``len``, int and
+    negative indexing, prefix slices (which give records) and iteration; an
+    element object and its word are built only when asked for.
+    """
+
+    matrices: np.ndarray
+    lengths: np.ndarray
+    parent: np.ndarray
+    letter: np.ndarray
+    names: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "matrices",
+                           _frozen(self.matrices, complex).reshape(-1, 2, 2))
+        for field in ("lengths", "parent", "letter"):
+            object.__setattr__(self, field, _frozen(getattr(self, field), np.int64))
+        object.__setattr__(self, "names", tuple(self.names))
+        n = len(self.lengths)
+        if not len(self.matrices) == len(self.parent) == len(self.letter) == n:
+            raise ValueError("one matrix, parent and letter per element required")
+        if np.any(np.diff(self.lengths) < 0):
+            raise ValueError("elements must be ordered by word length")
+
+    @classmethod
+    def of(cls, elements) -> "GroupElements":
+        """``elements`` as a record, in the manner of ``np.asarray``.
+
+        A record is returned as it is.  A sequence of :class:`GroupElement`,
+        which must be ordered by word length, is copied into a new record
+        whose letter names are the elements' whole words (every parent -1).
+        """
+        if isinstance(elements, cls):
+            return elements
+        elements = list(elements)
+        n = len(elements)
+        return cls([el.map.matrix() for el in elements],
+                   [el.word_length for el in elements], np.full(n, -1),
+                   np.arange(n), [el.word for el in elements])
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def _spell(self, stem: str, letter: int) -> str:
+        name = self.names[letter] if letter >= 0 else ""
+        return f"{stem}.{name}" if stem else name
+
+    def _word(self, i: int) -> str:
+        p = int(self.parent[i])
+        return self._spell(self._word(p) if p >= 0 else "", int(self.letter[i]))
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            rows = range(len(self))[key]
+            if rows != range(len(rows)):
+                raise ValueError("only prefix slices of GroupElements are supported")
+            n = len(rows)
+            return replace(self, matrices=self.matrices[:n], lengths=self.lengths[:n],
+                           parent=self.parent[:n], letter=self.letter[:n])
+        i = range(len(self))[key]
+        return GroupElement(MobiusMap._from_normalized(*self.matrices[i].ravel().tolist()),
+                            self._word(i))
+
+    def __iter__(self):
+        cuts = [0, *(np.flatnonzero(np.diff(self.lengths)) + 1).tolist(), len(self)]
+        words, base = [], 0
+        for lo, hi in zip(cuts, cuts[1:]):
+            words = [self._spell(words[p - base] if p >= 0 else "", k)
+                     for p, k in zip(self.parent[lo:hi].tolist(),
+                                     self.letter[lo:hi].tolist())]
+            base = lo
+            for start in range(lo, hi, 4096):  # rows as Python numbers, a block at a time
+                rows = self.matrices[start:min(start + 4096, hi)].reshape(-1, 4).tolist()
+                for k, row in enumerate(rows, start - lo):
+                    yield GroupElement(MobiusMap._from_normalized(*row), words[k])
 
 
 def regular_polygon(genus: int) -> PolygonData:
@@ -225,32 +327,45 @@ def _shells(generators: list[GroupElement], depth: int):
 
 
 def enumerate_group(generators: list[GroupElement],
-                    max_word_length: int) -> list[GroupElement]:
+                    max_word_length: int) -> GroupElements:
     """All elements of word length up to the bound, each with a shortest word.
 
     ``generators`` are those of :func:`side_pairing_generators`.  Ordered by
     shell, then parent word, then letter (a1, A1, b1, B1, ...); includes the
-    identity.  Raises DedupCollisionError if roundoff makes two orbit points
-    neither equal nor separated.
+    identity.  The matrices are renormalized by :class:`MobiusMap`'s rule,
+    bit for bit.  Raises DedupCollisionError if roundoff makes two orbit
+    points neither equal nor separated.
     """
     if max_word_length < 0:
         raise ValueError("max_word_length must be >= 0")
     names = [name for gen in generators
              for name in (gen.word, gen.word.capitalize())]
-    out = [GroupElement(MobiusMap.identity(), "")]
-    words = [""]
-    for mats, parent, letter in _shells(generators, max_word_length):
-        words = [f"{words[p]}.{names[i]}" if words[p] else names[i]
-                 for p, i in zip(parent.tolist(), letter.tolist())]
-        out.extend(GroupElement(MobiusMap(*m), w)
-                   for m, w in zip(mats.reshape(-1, 4).tolist(), words))
-    return out
+    mats, lengths = [np.eye(2, dtype=complex)[None]], [np.zeros(1, dtype=np.int64)]
+    parent, letter = [np.array([-1])], [np.array([-1])]
+    prev, start = 0, 1  # first global index of the previous shell and of this one
+    for length, (m, p, k) in enumerate(_shells(generators, max_word_length), 1):
+        mats.append(m)
+        lengths.append(np.full(len(m), length))
+        parent.append(p + prev)
+        letter.append(k)
+        prev, start = start, start + len(m)
+    mats = np.concatenate(mats)
+    renormalize_batch(mats)
+    return GroupElements(mats, np.concatenate(lengths), np.concatenate(parent),
+                         np.concatenate(letter), names)
 
 
-def orbit_cloud(elements: list[GroupElement], base: DiskPoint) -> np.ndarray:
-    """Images of a disk point under every element, as a complex array."""
-    return np.array([el.map.apply_boundary(base.zeta) for el in elements],
-                    dtype=complex)
+def orbit_cloud(elements, base: DiskPoint) -> np.ndarray:
+    """Images of a disk point under every element, as a complex array.
+
+    ``elements`` is a :class:`GroupElements` or a sequence of
+    :class:`GroupElement` (see :meth:`GroupElements.of`).  One array
+    expression over the matrices: the denominators c zeta + d do not vanish,
+    as the maps preserve the disk and |zeta| < 1.
+    """
+    m = GroupElements.of(elements).matrices
+    z = base.zeta
+    return (m[:, 0, 0] * z + m[:, 0, 1]) / (m[:, 1, 0] * z + m[:, 1, 1])
 
 
 def limit_set_sample(genus: int, depth: int) -> np.ndarray:

@@ -30,6 +30,7 @@ __all__ = [
     "geodesic_point",
     "laplace_beltrami",
     "apply_h3_batch",
+    "renormalize_batch",
 ]
 
 #: Marker for the boundary point at infinity of the Riemann sphere.
@@ -103,6 +104,20 @@ class MobiusMap:
             object.__setattr__(self, "d", self.d * s)
 
     # -- constructors -------------------------------------------------------
+
+    @classmethod
+    def _from_normalized(cls, a, b, c, d) -> "MobiusMap":
+        """The map with these entries as given, without renormalizing again.
+
+        For entries this class (or :func:`renormalize_batch`) already
+        renormalized.  The rule is not idempotent: once entries reach ~100
+        the rounding error of the float determinant exceeds 1e-12, so a
+        second pass divides again and changes the last bits.
+        """
+        m = object.__new__(cls)
+        for name, v in zip("abcd", (a, b, c, d)):
+            object.__setattr__(m, name, v)
+        return m
 
     @staticmethod
     def identity() -> "MobiusMap":
@@ -281,3 +296,46 @@ def apply_h3_batch(mats: np.ndarray, p: H3Point) -> np.ndarray:
     out[:, 1] = w2.imag
     out[:, 2] = p.z / den
     return out
+
+
+def _mul(xr, xi, yr, yi):
+    """CPython's complex product in real arithmetic (numpy's may fuse)."""
+    return xr * yr - xi * yi, xr * yi + xi * yr
+
+
+def renormalize_batch(mats: np.ndarray) -> None:
+    """Renormalize a complex (n, 2, 2) stack in place by :class:`MobiusMap`'s rule.
+
+    Rows with |det - 1| > 1e-12 are divided by sqrt(det); the others are
+    kept.  Each step is CPython's complex arithmetic spelled out in floats
+    (the product, ``cmath.sqrt`` away from subnormals, the quotient
+    1/sqrt(det)), so every row ends bit-identical to
+    ``MobiusMap(*row).matrix()``.
+    """
+    if mats.dtype != complex or mats.shape[1:] != (2, 2):
+        raise TypeError("need a complex (n, 2, 2) array")
+    a, b, c, d = mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1]
+    adr, adi = _mul(a.real, a.imag, d.real, d.imag)
+    bcr, bci = _mul(b.real, b.imag, c.real, c.imag)
+    det_r, det_i = adr - bcr, adi - bci
+    if np.any((det_r == 0.0) & (det_i == 0.0)):
+        raise ValueError("singular matrix is not a Mobius map")
+    need = np.hypot(det_r - 1.0, det_i) > _DET_TOL
+    det_r, det_i = det_r[need], det_i[need]
+    ax, ay = np.abs(det_r) / 8.0, np.abs(det_i)
+    big = 2.0 * np.sqrt(ax + np.hypot(ax, ay / 8.0))
+    small = ay / (2.0 * big)
+    right = det_r >= 0.0
+    sr = np.where(right, big, small)
+    si = np.copysign(np.where(right, small, big), det_i)
+    # 1/sqrt(det), dividing through by the larger part as CPython does
+    wide = np.abs(sr) >= np.abs(si)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(wide, si / sr, sr / si)
+    denom = np.where(wide, sr + si * ratio, sr * ratio + si)
+    qr = np.where(wide, 1.0, ratio + 0.0) / denom
+    qi = np.where(wide, 0.0 - ratio, -1.0) / denom
+    rows = np.flatnonzero(need)
+    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):  # small temporaries
+        e = mats[rows, i, j]
+        mats.real[rows, i, j], mats.imag[rows, i, j] = _mul(e.real, e.imag, qr, qi)

@@ -261,3 +261,32 @@ def test_find_quantizable_prescribed_levels():
         find_quantizable(domain, 3, 1, CFG, levels=(0.2, 0.3, 0.6))
     with pytest.raises(ValueError):
         find_quantizable(domain, 2, 1, CFG, levels=(1.2, -0.2))
+
+
+@pytest.mark.parametrize("pole, q", [
+    (H3Point(0.1, 0.05, 0.9), H3Point(0.3, -0.2, 0.6)),
+    (H3Point(-0.2, 0.25, 1.1), H3Point(0.0, 0.0, 0.7)),
+    (H3Point(0.0, 0.0, 1.0), H3Point(0.25, 0.1, 1.2)),
+])
+def test_quotient_record_equals_element_list(genus2_elements, pole, q):
+    listed = quotient_green(list(genus2_elements), pole, q, 6)
+    assert quotient_green(genus2_elements, pole, q, 6) == listed
+    shallow = quotient_green(list(genus2_elements[:2000]), pole, q, 3)
+    assert quotient_green(genus2_elements, pole, q, 3) == shallow
+
+
+def test_potential_with_group_builds_no_elements(genus2_elements, monkeypatch):
+    import tunnelvision.groups as groups_mod
+
+    def refuse(*args):
+        raise AssertionError("a GroupElement was built")
+
+    monkeypatch.setattr(groups_mod, "GroupElement", refuse)
+    poles = (H3Point(0.1, 0.05, 0.9), H3Point(-0.2, 0.1, 1.1))
+    config = PointConfiguration(points=poles, group=genus2_elements)
+    assert config.group is genus2_elements
+    q = H3Point(0.3, -0.2, 0.6)
+    expected = 1.0
+    for p in poles:
+        expected += quotient_green(genus2_elements, p, q, 5).value
+    assert potential_V(config, q, shells=5) == expected

@@ -6,10 +6,10 @@ import pytest
 
 from tunnelvision.domains import hausdorff_distance
 from tunnelvision.groups import (DedupCollisionError, GroupElement,
-                                 enumerate_group, limit_set_sample, min_genus,
-                                 orbit_cloud, polygon_contains,
-                                 regular_polygon, side_pairing_generators,
-                                 surface_relator)
+                                 GroupElements, _shells, enumerate_group,
+                                 limit_set_sample, min_genus, orbit_cloud,
+                                 polygon_contains, regular_polygon,
+                                 side_pairing_generators, surface_relator)
 from tunnelvision.hyperbolic import DiskPoint, MobiusMap, disk_distance
 
 
@@ -266,3 +266,69 @@ def test_group_element_words(genus2_elements):
     assert words == {"", "a1", "A1", "b1", "B1", "a2", "A2", "b2", "B2"}
     two = next(el for el in genus2_elements if el.word_length == 2)
     assert "." in two.word
+
+
+def test_group_elements_indexing(genus2_elements):
+    assert isinstance(genus2_elements, GroupElements)
+    n = len(genus2_elements)
+    last = genus2_elements[-1]
+    assert last == genus2_elements[n - 1]
+    assert last.word_length == 6
+    assert genus2_elements[0].word == "" and genus2_elements[1].word == "a1"
+    assert genus2_elements[-n] == genus2_elements[0]
+    with pytest.raises(IndexError):
+        genus2_elements[n]
+    with pytest.raises(IndexError):
+        genus2_elements[-n - 1]
+    prefix = genus2_elements[:3000]
+    assert isinstance(prefix, GroupElements) and len(prefix) == 3000
+    assert list(prefix) == [genus2_elements[i] for i in range(3000)]
+    assert len(genus2_elements[:n + 10]) == n
+    with pytest.raises(ValueError):
+        genus2_elements[5:10]
+
+
+def test_group_elements_iteration_matches_indexing(genus2_elements, rng):
+    elements = list(genus2_elements)
+    for i in rng.choice(len(elements), 200, replace=False):
+        assert elements[i] == genus2_elements[i]
+        assert elements[i].word_length == genus2_elements.lengths[i]
+
+
+def test_record_matrices_follow_mobius_rule(genus2_generators, genus2_elements):
+    raw = np.concatenate([np.eye(2, dtype=complex)[None]]
+                         + [m for m, _, _ in _shells(genus2_generators, 6)])
+    expected = np.array([MobiusMap(*row).matrix()
+                         for row in raw.reshape(-1, 4).tolist()])
+    mats = genus2_elements.matrices
+    assert np.array_equal(mats.view(float), expected.view(float))
+    for el, row in zip(genus2_elements[:100], mats):
+        assert np.array_equal(el.map.matrix(), row)
+    # unit determinant to working precision: the float determinant of a
+    # depth-6 matrix (entries up to ~4800) carries a rounding error of
+    # about eps (|a||d| + |b||c|), so 1e-12 absolute holds to depth 3 only
+    a, b, c, d = mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1]
+    err = np.abs(a * d - b * c - 1.0)
+    size = np.abs(a) * np.abs(d) + np.abs(b) * np.abs(c)
+    assert np.all(err <= 4 * np.finfo(float).eps * size)
+    assert err[genus2_elements.lengths <= 3].max() <= 1e-12
+
+
+@pytest.mark.parametrize("zeta", [0j, 0.1 + 0.2j, -0.5 + 0.3j])
+def test_orbit_cloud_matches_apply_boundary(genus2_elements, zeta):
+    pts = orbit_cloud(genus2_elements, DiskPoint(zeta))
+    ref = np.array([el.map.apply_boundary(zeta) for el in genus2_elements])
+    assert np.abs(pts - ref).max() <= 1e-15
+
+
+def test_group_elements_of_round_trip(genus2_elements):
+    assert GroupElements.of(genus2_elements) is genus2_elements
+    elements = list(genus2_elements[:500])
+    record = GroupElements.of(elements)
+    assert [el.word for el in record] == [el.word for el in elements]
+    assert record.lengths.tolist() == [el.word_length for el in elements]
+    assert list(record) == elements
+    assert record[-1] == elements[-1]
+    assert len(GroupElements.of([])) == 0
+    with pytest.raises(ValueError):
+        GroupElements.of(elements[::-1])
