@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import PlanarDomain, reflection_symmetric
+from .domains import (BoundaryPieces, PlanarDomain, boundary_pieces, dogbone,
+                      reflection_symmetric)
 from .hyperbolic import H3Point
 from .measure import (MeasureValue, QuadratureConfig, measure_many,
                       measure_with_gradient)
@@ -166,9 +167,13 @@ def _axis_points(zs):
     return [H3Point(0.0, 0.0, z) for z in zs]
 
 
-def axis_profile(domain: PlanarDomain, z_min: float, z_max: float, n: int,
+def axis_profile(domain: PlanarDomain | BoundaryPieces, z_min: float,
+                 z_max: float, n: int,
                  config: QuadratureConfig = QuadratureConfig()) -> AxisProfile:
-    """Log-spaced samples of the measure along the axis through 0."""
+    """Log-spaced samples of the measure along the axis through 0.
+
+    ``domain`` may be the region's prepared boundary pieces.
+    """
     if not 0.0 < z_min < z_max:
         raise ValueError("need 0 < z_min < z_max")
     if n < 2:
@@ -216,20 +221,20 @@ def _bracketed_root(g, a, b, ga, gb, xtol):
     return 0.5 * (a + b)
 
 
-def _hessian_at(domain, p, config):
+def _hessian_at(pieces, p, config):
     """Coordinate Hessian of the measure by central differences of the gradient."""
     h = max(1e-4, 2e-3 * p.z)
     base = p.as_array()
     pts = [H3Point(*(base + s)) for d in h * np.eye(3) for s in (d, -d)]
-    grads = measure_many(domain, pts, config, gradient=True)[1]
+    grads = measure_many(pieces, pts, config, gradient=True)[1]
     H = ((grads[0::2] - grads[1::2]) / (2.0 * h)).T
     return 0.5 * (H + H.T)
 
 
-def _axis_report(domain, z_star, classification, config, refine_tol, conclusive):
+def _axis_report(pieces, z_star, classification, config, refine_tol, conclusive):
     p = H3Point(0.0, 0.0, z_star)
-    mv, grad, _ = measure_with_gradient(domain, p, config)
-    H = _hessian_at(domain, p, config)
+    mv, grad, _ = measure_with_gradient(pieces, p, config)
+    H = _hessian_at(pieces, p, config)
     return CriticalPointReport(
         location=p,
         f_value=mv.value,
@@ -262,19 +267,24 @@ def axis_critical_points(profile: AxisProfile, domain: PlanarDomain,
     function and the call is rejected.
     """
     _require_axis_symmetric(domain)
+    return _axis_extrema(profile, boundary_pieces(domain), refine_tol, config)
+
+
+def _axis_extrema(profile, pieces, refine_tol, config):
+    """:func:`axis_critical_points` on prepared pieces, symmetry already checked."""
     z = profile.z
     df = np.diff(profile.f)
     brackets = [i for i in range(len(df) - 1)
                 if df[i] != 0.0 and df[i] * df[i + 1] < 0.0]
     # df/dz at both ends of every bracket, in one batched evaluation
     ends = _axis_points(z[i + k] for i in brackets for k in (0, 2))
-    mvs, grads, gerrs = measure_many(domain, ends, config, gradient=True)
+    mvs, grads, gerrs = measure_many(pieces, ends, config, gradient=True)
     slope = grads[:, 2].reshape(-1, 2)
     slope_err = gerrs[:, 2].reshape(-1, 2)
     converged = np.array([mv.converged for mv in mvs]).reshape(-1, 2)
 
     def dfdz(zz):
-        return measure_with_gradient(domain, H3Point(0.0, 0.0, zz), config)[1][2]
+        return measure_with_gradient(pieces, H3Point(0.0, 0.0, zz), config)[1][2]
 
     reports = []
     for i, (ga, gb), (ea, eb), ok in zip(brackets, slope, slope_err, converged):
@@ -285,7 +295,7 @@ def axis_critical_points(profile: AxisProfile, domain: PlanarDomain,
             z_star = _bracketed_root(dfdz, z[i], z[i + 2], ga, gb, refine_tol)
         else:
             z_star = z[i + 1]
-        reports.append(_axis_report(domain, z_star,
+        reports.append(_axis_report(pieces, z_star,
                                     "axis-max" if is_max else "axis-min",
                                     config, refine_tol, conclusive))
     return reports
@@ -329,17 +339,16 @@ def dogbone_experiment(epsilon: float,
     did not converge.  Returns a DogboneReport together with the axis
     profile used for the search.  ``threads`` is accepted and has no effect.
     """
-    from .domains import dogbone  # local import to keep module deps one-way
-
     if not 0.0 < epsilon < 0.5:
         raise ValueError(f"epsilon must lie in (0, 1/2), got {epsilon}")
     domain = dogbone(epsilon)
-    f_eps, f_one = measure_many(domain, _axis_points([epsilon, 1.0]), config)
+    pieces = boundary_pieces(domain)
+    f_eps, f_one = measure_many(pieces, _axis_points([epsilon, 1.0]), config)
     separated = (f_eps.value + f_eps.error < f_one.value - f_one.error
                  or f_one.value + f_one.error < f_eps.value - f_eps.error)
     holds = f_eps.value + f_eps.error < f_one.value - f_one.error
     window = (epsilon**2, 10.0)
-    profile = axis_profile(domain, window[0], window[1], n_samples, config)
+    profile = axis_profile(pieces, window[0], window[1], n_samples, config)
     cps = axis_critical_points(profile, domain, refine_tol, config)
     report = DogboneReport(
         epsilon=epsilon,
@@ -368,19 +377,20 @@ def refine_critical_point_3d(domain: PlanarDomain, p0: H3Point, tol: float,
     r_dom = domain.bounding_radius
     box_xy = 2.0 * (r_dom if math.isfinite(r_dom) else 10.0)
     z_lo, z_hi = p0.z / 64.0, p0.z * 64.0
+    pieces = boundary_pieces(domain)
 
     p = p0
-    mv, grad, _ = measure_with_gradient(domain, p, config)
+    mv, grad, _ = measure_with_gradient(pieces, p, config)
     norm = p.z * float(np.linalg.norm(grad))
     for _ in range(max_steps):
         if norm < tol:
-            H = _hessian_at(domain, p, config)
+            H = _hessian_at(pieces, p, config)
             return CriticalPointReport(
                 location=p, f_value=mv.value, f_error=mv.error,
                 grad_norm_hyperbolic=norm, classification="3d-refined",
                 hessian_det=float(np.linalg.det(H)), tolerance=tol,
             )
-        H = _hessian_at(domain, p, config)
+        H = _hessian_at(pieces, p, config)
         try:
             step = np.linalg.solve(H, -grad)
         except np.linalg.LinAlgError as exc:
@@ -393,7 +403,7 @@ def refine_critical_point_3d(domain: PlanarDomain, p0: H3Point, tol: float,
                     or not z_lo < cand[2] < z_hi):
                 raise RefinementError(f"left the search box at {cand}")
             q = H3Point(*cand)
-            mv2, grad2, _ = measure_with_gradient(domain, q, config)
+            mv2, grad2, _ = measure_with_gradient(pieces, q, config)
             norm2 = q.z * float(np.linalg.norm(grad2))
             if norm2 < norm * (1.0 - 0.25 * lam) or norm2 < tol:
                 p, mv, grad, norm = q, mv2, grad2, norm2
@@ -426,18 +436,19 @@ def almost_kahler_verdict(domain: PlanarDomain, search: GridSpec | None = None,
     if search is None:
         search = GridSpec.for_domain(domain)
     threshold = 10.0 * config.tolerance
+    pieces = boundary_pieces(domain)
 
     reports = []
     nonconverged = 0
     symmetric = reflection_symmetric(domain, _SYMMETRY_SAMPLES, _SYMMETRY_SEED)
     if symmetric:
         zs = search.axes()[2]
-        profile = axis_profile(domain, zs[0], zs[-1], 200, config)
+        profile = axis_profile(pieces, zs[0], zs[-1], 200, config)
         nonconverged += int((~profile.converged).sum())
-        reports.extend(axis_critical_points(profile, domain, 1e-6, config))
+        reports.extend(_axis_extrema(profile, pieces, 1e-6, config))
 
     pts = search.points()
-    values, grads, _ = measure_many(domain, pts, config, gradient=True)
+    values, grads, _ = measure_many(pieces, pts, config, gradient=True)
     nonconverged += sum(not mv.converged for mv in values)
     norms = np.array([p.z * float(np.linalg.norm(g))
                       for p, g in zip(pts, grads)])

@@ -553,7 +553,7 @@ def _intervals(cuts, closed):
             if math.isinf(hi - lo) or hi - lo > 1e-15 * max(1.0, abs(lo))]
 
 
-def boundary_pieces(domain: PlanarDomain) -> BoundaryPieces:
+def boundary_pieces(domain: PlanarDomain | BoundaryPieces) -> BoundaryPieces:
     """The arrangement of the primitive boundaries, clipped to the tree's boundary.
 
     Circles and lines (polygon edges included) are cut at their mutual
@@ -562,7 +562,12 @@ def boundary_pieces(domain: PlanarDomain) -> BoundaryPieces:
     so that the domain lies on its left; all probes go through one
     ``contains`` call.  Directions at infinity between consecutive
     half-plane directions are probed far out, beyond every corner.
+
+    Prepared pieces are returned as given, so a caller that evaluates one
+    region many times builds its arrangement once and passes it along.
     """
+    if isinstance(domain, BoundaryPieces):
+        return domain
     prims = list(domain.primitives())
     scale = 1.0 + max(abs(p.offset) if isinstance(p, HalfPlane) else p.bounding_radius
                       for p in prims)

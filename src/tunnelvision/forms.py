@@ -32,7 +32,7 @@ from itertools import combinations
 import numpy as np
 
 from .critical import GridSpec, RefinementError, refine_critical_point_3d
-from .domains import PlanarDomain
+from .domains import BoundaryPieces, PlanarDomain
 from .hyperbolic import H3Point
 from .measure import QuadratureConfig, measure_many, measure_with_gradient
 
@@ -186,7 +186,8 @@ def boundary_expansion_check(domain: PlanarDomain, boundary_foot: complex,
     measure vanishes at the boundary while the second does not, so the fitted
     exponent should be 2 with a positive coefficient; a fit exponent far from
     2 is flagged (the foot is too close to the region's edge for the chosen
-    heights).
+    heights).  Raises ValueError when an evaluation did not converge or a
+    residual is not positive: neither can enter the fit.
     """
     if side not in ("inside", "outside"):
         raise ValueError("side must be 'inside' or 'outside'")
@@ -199,8 +200,11 @@ def boundary_expansion_check(domain: PlanarDomain, boundary_foot: complex,
     if side == "outside" and inside:
         raise ValueError("foot point is not outside the region")
     pts = [H3Point(boundary_foot.real, boundary_foot.imag, z) for z in zs]
-    residuals = [1.0 - mv.value if side == "inside" else mv.value
-                 for mv in measure_many(domain, pts)]
+    mvs = measure_many(domain, pts)
+    if not all(mv.converged for mv in mvs):
+        raise ValueError("a measure evaluation did not converge; "
+                         "its residual cannot be fitted")
+    residuals = [1.0 - mv.value if side == "inside" else mv.value for mv in mvs]
     if any(r <= 0 for r in residuals):
         raise ValueError("nonpositive residual; heights outside the regime")
     slope, intercept = np.polyfit(np.log(zs), np.log(residuals), 1)
@@ -239,7 +243,7 @@ class ZeroLocusReport:
         }
 
 
-def form_norm_grid(domain: PlanarDomain, grid: GridSpec,
+def form_norm_grid(domain: PlanarDomain | BoundaryPieces, grid: GridSpec,
                    quad: QuadratureConfig = QuadratureConfig(),
                    u_mode: str = "height"):
     """Rows (x, y, z, omega_norm_g0, weighted_norm) over a search grid.
@@ -247,7 +251,8 @@ def form_norm_grid(domain: PlanarDomain, grid: GridSpec,
     The flat table behind :func:`zero_locus_report`, in grid order;
     ``weighted_norm`` is omega_norm / u^2 for the chosen defining function.
     Returns ``(rows, nonconverged)``, the second the number of grid
-    evaluations whose quadrature did not converge.
+    evaluations whose quadrature did not converge.  ``domain`` may be the
+    region's prepared boundary pieces.
     """
     pts = grid.points()
     values, grads, _ = measure_many(domain, pts, quad, gradient=True)

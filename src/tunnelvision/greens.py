@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .critical import _bracketed_root
-from .domains import PlanarDomain
+from .domains import PlanarDomain, boundary_pieces
 from .groups import GroupElements
 from .hyperbolic import (H3Point, apply_h3_batch, geodesic_point, h3_distance,
                          h3_distance_batch, MobiusMap)
@@ -290,7 +290,7 @@ def _interior_feet(domain: PlanarDomain, k: int) -> list[complex]:
                      f"(found {len(feet)}); domain too thin near 0?")
 
 
-def _solve_level(domain, foot, target, config):
+def _solve_level(pieces, foot, target, config):
     """Solve measure(foot, z) = target in z: bracket, then a root solve in log z.
 
     |z df/dz| <= 2 (the kernel's z-derivative is at most 2/z times the
@@ -298,7 +298,7 @@ def _solve_level(domain, foot, target, config):
     to within that tolerance.
     """
     def level(z):
-        return harmonic_measure(domain, H3Point(foot.real, foot.imag, z),
+        return harmonic_measure(pieces, H3Point(foot.real, foot.imag, z),
                                 config).value - target
 
     z_lo, z_hi = 0.25, 4.0
@@ -350,10 +350,11 @@ def find_quantizable(domain: PlanarDomain, k: int, ell: int,
         if abs(math.fsum(targets) - ell) > 1e-12:
             raise ValueError(f"levels must sum to ell={ell}")
     tight = replace(config_q, tolerance=min(config_q.tolerance, 2.5e-10 / k))
+    pieces = boundary_pieces(domain)
     points = tuple(H3Point(foot.real, foot.imag,
-                           _solve_level(domain, foot, target, tight))
+                           _solve_level(pieces, foot, target, tight))
                    for foot, target in zip(_interior_feet(domain, k), targets))
-    mvs = measure_many(domain, points, tight)
+    mvs = measure_many(pieces, points, tight)
     return PointConfiguration(points=points,
                               f_values=tuple(mv.value for mv in mvs),
                               f_errors=tuple(mv.error for mv in mvs),

@@ -26,6 +26,14 @@ sum for many points at once, as one array over points x pieces; the terms of
 each point are added exactly (``math.fsum``), so a point's result does not
 depend on the points evaluated with it.
 
+Every evaluation takes a domain or its prepared ``BoundaryPieces``; a domain
+has its arrangement built on entry.  Building it costs about as much as
+evaluating a few points, so the drivers that evaluate one region many times
+(the dogbone experiment, the axis root solve and Hessians, Newton
+refinement, the verdict's scans and the level solves of
+:func:`~tunnelvision.greens.find_quantizable`) build the pieces once and
+pass them down.
+
 Error accounting is a rounding bound, not an estimate of truncation: with u
 the unit roundoff, the reported error of f is
 
@@ -206,10 +214,15 @@ def _fsum_rows(terms):
     return np.array([math.fsum(row) for row in terms.tolist()])
 
 
-def measure_many(domain: PlanarDomain, points,
+def measure_many(domain: PlanarDomain | BoundaryPieces, points,
                  config: QuadratureConfig = QuadratureConfig(),
                  gradient: bool = False):
     """Harmonic measure of ``domain`` at every point of ``points``.
+
+    ``domain`` is a domain tree or its prepared
+    :func:`~tunnelvision.domains.boundary_pieces`, which are evaluated as
+    given; the result is bit-identical either way.  Callers that evaluate
+    one region many times build the pieces once and pass them.
 
     Returns a list of MeasureValue, one per point, in order.  With
     ``gradient=True`` returns ``(values, gradients (n, 3), gradient errors
@@ -243,7 +256,7 @@ def measure_many(domain: PlanarDomain, points,
     return values, grads, np.stack([xy_err, xy_err, z_err], axis=1)
 
 
-def harmonic_measure(domain: PlanarDomain, p: H3Point,
+def harmonic_measure(domain: PlanarDomain | BoundaryPieces, p: H3Point,
                      config: QuadratureConfig = QuadratureConfig()) -> MeasureValue:
     """Harmonic measure of ``domain`` seen from ``p``.
 
@@ -253,7 +266,7 @@ def harmonic_measure(domain: PlanarDomain, p: H3Point,
     return measure_many(domain, [p], config)[0]
 
 
-def measure_with_gradient(domain: PlanarDomain, p: H3Point,
+def measure_with_gradient(domain: PlanarDomain | BoundaryPieces, p: H3Point,
                           config: QuadratureConfig = QuadratureConfig()):
     """Measure and its Euclidean gradient from one boundary sum.
 

@@ -186,6 +186,31 @@ def test_gradient_matches_central_differences(domain):
         assert np.all(gerr < 1e-12)
 
 
+# -- prepared pieces ------------------------------------------------------------------
+
+def _assert_same_evaluation(domain, points):
+    pc = boundary_pieces(domain)
+    assert boundary_pieces(pc) is pc
+    vals, grads, gerrs = measure_many(domain, points, gradient=True)
+    vals_pc, grads_pc, gerrs_pc = measure_many(pc, points, gradient=True)
+    assert [(v.value, v.error, v.converged) for v in vals_pc] == \
+        [(v.value, v.error, v.converged) for v in vals]
+    assert grads_pc.tobytes() == grads.tobytes()
+    assert gerrs_pc.tobytes() == gerrs.tobytes()
+
+
+def test_prepared_pieces_evaluate_bit_identically_on_the_dogbone(dogbone01):
+    pts = [H3Point(x, y, z) for x, y, z in
+           ((0.0, 0.0, 0.1), (0.0, 0.0, 1.0), (0.3, -0.2, 0.05), (-0.9, 0.4, 2.0))]
+    _assert_same_evaluation(dogbone01, pts)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_trees, _points)
+def test_prepared_pieces_evaluate_bit_identically(domain, points):
+    _assert_same_evaluation(domain, points)
+
+
 def test_pieces_are_counted_once():
     pc = boundary_pieces(Intersection(HalfPlane(1j, 0.2), HalfPlane(1j, 0.2)))
     assert len(pc.seg_lo) == 1 and len(pc.arc_radius) == 0

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from tunnelvision import critical
 from tunnelvision.critical import (AxisProfile, GridSpec, RefinementError,
                                    _bracketed_root, almost_kahler_verdict,
                                    axis_critical_points, axis_profile,
@@ -274,6 +275,35 @@ def test_verdict_rejects_halfplane():
 def test_verdict_rejects_domain_missing_origin():
     with pytest.raises(ValueError):
         almost_kahler_verdict(Disk(5.0, 1.0), None, CFG)
+
+
+# -- one arrangement per experiment --------------------------------------------------
+
+def test_dogbone_experiment_builds_its_arrangement_at_most_twice(arrangement_builds):
+    dogbone_experiment(0.1)
+    assert arrangement_builds[0] <= 2
+
+
+def test_refinement_builds_its_arrangement_once(arrangement_builds, dogbone01):
+    refine_critical_point_3d(dogbone01, H3Point(0.01, -0.02, 0.95), 1e-6)
+    assert arrangement_builds[0] == 1
+
+
+def test_verdict_builds_one_arrangement_per_refinement(arrangement_builds,
+                                                     dogbone01, monkeypatch):
+    refinements = [0]
+
+    def counted(*args, **kwargs):
+        refinements[0] += 1
+        return refine_critical_point_3d(*args, **kwargs)
+
+    monkeypatch.setattr(critical, "refine_critical_point_3d", counted)
+    # a loose tolerance raises the Newton threshold, so grid points refine
+    almost_kahler_verdict(dogbone01, GridSpec(x=(-0.3, 0.3, 3), y=(-0.3, 0.3, 3),
+                                              z=(0.05, 5.0, 6)),
+                          QuadratureConfig(tolerance=1e-4))
+    assert refinements[0] > 0
+    assert arrangement_builds[0] <= 2 + refinements[0]
 
 
 def test_grid_spec_validation():

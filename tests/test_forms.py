@@ -120,6 +120,14 @@ def test_boundary_expansion_flags_bad_regime():
     assert fit.flagged
 
 
+def test_boundary_expansion_rejects_nonconverged_values():
+    # far from the origin the rounding bound of the foot (about 8u |w| times
+    # the kernel mass along the edge) exceeds the default tolerance
+    with pytest.raises(ValueError, match="did not converge"):
+        boundary_expansion_check(HalfPlane(1j, 0.0), complex(1e14, -1.0),
+                                 "outside", [1e-2, 5e-3])
+
+
 def test_boundary_expansion_validation(dogbone01):
     hp = HalfPlane(1j, 0.0)
     with pytest.raises(ValueError):

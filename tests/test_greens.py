@@ -240,6 +240,11 @@ def test_find_quantizable_dogbone(dogbone01):
     assert h3_distance(pts[0], pts[1]) > 0
 
 
+def test_find_quantizable_builds_one_arrangement(arrangement_builds, dogbone01):
+    find_quantizable(dogbone01, 2, 1)
+    assert arrangement_builds[0] == 1
+
+
 def test_find_quantizable_validation(dogbone01):
     with pytest.raises(ValueError):
         find_quantizable(dogbone01, 1, 1, CFG)
