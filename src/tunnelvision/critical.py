@@ -194,57 +194,68 @@ def _require_axis_symmetric(domain: PlanarDomain):
                          "invariant under zeta -> -zeta; symmetry check failed")
 
 
-def _bracketed_root(g, a, b, ga, gb, xtol):
-    """Zero of ``g`` between a and b by Illinois false position.
+def _bracketed_roots(g, brackets, xtol):
+    """Zeros of ``g`` in every bracket by Illinois false position, in lockstep.
 
-    ``ga = g(a)`` and ``gb = g(b)`` must have opposite signs.  Returns the
-    midpoint of a bracket no wider than ``xtol``.  b is the latest iterate,
-    and the value at the other end is halved each time that end is kept
-    (Dowell & Jarratt, BIT 1971); steps stay ``xtol / 2`` clear of the ends.
-    ``xtol`` is raised to four ulps of the bracket ends, so every step
-    shrinks the bracket even when the requested width is below the float
-    spacing there.
+    Each bracket is ``(a, b, g(a), g(b))`` with values of opposite signs.
+    Every round takes one step on each bracket still wider than ``xtol`` and
+    asks for all those values at once: ``g(which, xs)`` returns the values
+    at ``xs``, where ``xs[n]`` is a step of bracket ``which[n]`` (brackets
+    may hold zeros of different functions).  Returns, per bracket, the
+    midpoint of a bracket no wider than ``xtol``, or a step where ``g`` is
+    exactly zero.  b is the latest iterate, and the value at the other end
+    is halved each time that end is kept (Dowell & Jarratt, BIT 1971); steps
+    stay ``xtol / 2`` clear of the ends.  ``xtol`` is raised to four ulps of
+    each bracket's ends, so every step shrinks the bracket even when the
+    requested width is below the float spacing there.  A bracket's iterates
+    are the same as when it is solved alone.
     """
-    xtol = max(xtol, 4.0 * math.ulp(max(abs(a), abs(b))))
-    while abs(b - a) > xtol:
-        lo, hi = min(a, b), max(a, b)
-        c = min(max(b - gb * (b - a) / (gb - ga), lo + 0.5 * xtol),
-                hi - 0.5 * xtol)
-        gc = g(c)
-        if gc == 0.0:
-            return c
-        if (gc < 0.0) != (gb < 0.0):
-            a, ga = b, gb
-        else:
-            ga *= 0.5
-        b, gb = c, gc
-    return 0.5 * (a + b)
+    state = [(a, b, ga, gb, max(xtol, 4.0 * math.ulp(max(abs(a), abs(b)))))
+             for a, b, ga, gb in brackets]
+    roots = [None] * len(state)
+    while True:
+        which, steps = [], []
+        for n, (a, b, ga, gb, tol) in enumerate(state):
+            if roots[n] is not None:
+                continue
+            if abs(b - a) <= tol:
+                roots[n] = 0.5 * (a + b)
+                continue
+            lo, hi = min(a, b), max(a, b)
+            which.append(n)
+            steps.append(min(max(b - gb * (b - a) / (gb - ga), lo + 0.5 * tol),
+                             hi - 0.5 * tol))
+        if not which:
+            return roots
+        for n, c, gc in zip(which, steps, g(which, steps)):
+            a, b, ga, gb, tol = state[n]
+            if gc == 0.0:
+                roots[n] = c
+                continue
+            if (gc < 0.0) != (gb < 0.0):
+                a, ga = b, gb
+            else:
+                ga *= 0.5
+            state[n] = (a, c, ga, gc, tol)
 
 
-def _hessian_at(pieces, p, config):
-    """Coordinate Hessian of the measure by central differences of the gradient."""
+def _hessian_stencil(p):
+    """The step h and the six points p +- h e_k of the Hessian at p."""
     h = max(1e-4, 2e-3 * p.z)
     base = p.as_array()
-    pts = [H3Point(*(base + s)) for d in h * np.eye(3) for s in (d, -d)]
-    grads = measure_many(pieces, pts, config, gradient=True)[1]
+    return h, [H3Point(*(base + s)) for d in h * np.eye(3) for s in (d, -d)]
+
+
+def _hessian_from(h, grads):
+    """Coordinate Hessian by central differences of the stencil's six gradients."""
     H = ((grads[0::2] - grads[1::2]) / (2.0 * h)).T
     return 0.5 * (H + H.T)
 
 
-def _axis_report(pieces, z_star, classification, config, refine_tol, conclusive):
-    p = H3Point(0.0, 0.0, z_star)
-    mv, grad, _ = measure_with_gradient(pieces, p, config)
-    H = _hessian_at(pieces, p, config)
-    return CriticalPointReport(
-        location=p,
-        f_value=mv.value,
-        f_error=mv.error,
-        grad_norm_hyperbolic=p.z * float(np.linalg.norm(grad)),
-        classification=classification,
-        hessian_det=float(np.linalg.det(H)),
-        tolerance=refine_tol,
-        conclusive=conclusive,
-    )
+def _hessian_at(pieces, p, config):
+    """Coordinate Hessian of the measure at p, from one stencil evaluation."""
+    h, stencil = _hessian_stencil(p)
+    return _hessian_from(h, measure_many(pieces, stencil, config, gradient=True)[1])
 
 
 def axis_critical_points(profile: AxisProfile, domain: PlanarDomain,
@@ -255,12 +266,16 @@ def axis_critical_points(profile: AxisProfile, domain: PlanarDomain,
     A sign change of the discrete derivative of the profile between z[i] and
     z[i+2] brackets an extremum.  The analytic derivative df/dz at the two
     bracket ends (one batched evaluation for all brackets) seeds a bracketed
-    root solve of df/dz to within ``refine_tol``; when the two end slopes do
-    not have the signs the bracket's type expects (df/dz > 0 then < 0 around a
-    maximum, < 0 then > 0 around a minimum) there is nothing to solve, and
-    the middle sample z[i+1] is reported.  An extremum is ``conclusive`` when both bracket-end
-    evaluations converged and their slopes have the expected opposite signs
-    beyond their error bars, which proves a zero of df/dz inside the bracket.
+    root solve of df/dz to within ``refine_tol``; the brackets are solved in
+    lockstep, one evaluation per round.  When the two end slopes do not have
+    the signs the bracket's type expects (df/dz > 0 then < 0 around a
+    maximum, < 0 then > 0 around a minimum) there is nothing to solve: the
+    middle sample z[i+1] is reported, with the bracket's half-width
+    max(z[i+1] - z[i], z[i+2] - z[i+1]) as its tolerance.  Every report's
+    value, gradient and Hessian stencil come from one more evaluation.  An
+    extremum is ``conclusive`` when both bracket-end evaluations converged
+    and their slopes have the expected opposite signs beyond their error
+    bars, which proves a zero of df/dz inside the bracket.
 
     The domain must be bounded and pass the reflection-symmetry check;
     otherwise axis extrema would not be critical points of the 3-space
@@ -274,31 +289,50 @@ def _axis_extrema(profile, pieces, refine_tol, config):
     """:func:`axis_critical_points` on prepared pieces, symmetry already checked."""
     z = profile.z
     df = np.diff(profile.f)
-    brackets = [i for i in range(len(df) - 1)
-                if df[i] != 0.0 and df[i] * df[i + 1] < 0.0]
+    # brackets z[i] .. z[i+2], where the discrete derivative changes sign
+    i = np.nonzero((df[:-1] != 0.0) & (df[:-1] * df[1:] < 0.0))[0]
+    if not len(i):
+        return []
     # df/dz at both ends of every bracket, in one batched evaluation
-    ends = _axis_points(z[i + k] for i in brackets for k in (0, 2))
+    ends = _axis_points(np.stack([z[i], z[i + 2]], axis=1).ravel())
     mvs, grads, gerrs = measure_many(pieces, ends, config, gradient=True)
     slope = grads[:, 2].reshape(-1, 2)
     slope_err = gerrs[:, 2].reshape(-1, 2)
     converged = np.array([mv.converged for mv in mvs]).reshape(-1, 2)
 
-    def dfdz(zz):
-        return measure_with_gradient(pieces, H3Point(0.0, 0.0, zz), config)[1][2]
+    def dfdz(_, zs):
+        return measure_many(pieces, _axis_points(zs), config, gradient=True)[1][:, 2]
 
-    reports = []
-    for i, (ga, gb), (ea, eb), ok in zip(brackets, slope, slope_err, converged):
-        is_max = df[i] > 0.0
-        sign = 1.0 if is_max else -1.0  # f rises into a max, falls into a min
-        conclusive = bool(ok.all() and sign * ga > ea and sign * gb < -eb)
-        if sign * ga > 0.0 > sign * gb:
-            z_star = _bracketed_root(dfdz, z[i], z[i + 2], ga, gb, refine_tol)
-        else:
-            z_star = z[i + 1]
-        reports.append(_axis_report(pieces, z_star,
-                                    "axis-max" if is_max else "axis-min",
-                                    config, refine_tol, conclusive))
-    return reports
+    is_max = df[i] > 0.0
+    # f rises into a max and falls into a min: oriented slopes are + then -
+    oriented = np.where(is_max, 1.0, -1.0)[:, None] * slope
+    conclusive = (converged.all(axis=1) & (oriented[:, 0] > slope_err[:, 0])
+                  & (oriented[:, 1] < -slope_err[:, 1]))
+    solvable = (oriented[:, 0] > 0.0) & (oriented[:, 1] < 0.0)
+    roots = iter(_bracketed_roots(
+        dfdz, [(z[j], z[j + 2], ga, gb)
+               for j, (ga, gb), ok in zip(i, slope, solvable) if ok], refine_tol))
+    z_star = [next(roots) if ok else z[j + 1] for j, ok in zip(i, solvable)]
+    tolerance = np.where(solvable, refine_tol,
+                         np.maximum(z[i + 1] - z[i], z[i + 2] - z[i + 1]))
+
+    # every report's value and gradient, then its Hessian stencil: 7 points each
+    at = _axis_points(z_star)
+    stencils = [_hessian_stencil(p) for p in at]
+    mvs, grads, _ = measure_many(
+        pieces, [q for p, (_, st) in zip(at, stencils) for q in (p, *st)],
+        config, gradient=True)
+    return [CriticalPointReport(
+                location=p,
+                f_value=mvs[7 * n].value,
+                f_error=mvs[7 * n].error,
+                grad_norm_hyperbolic=p.z * float(np.linalg.norm(grads[7 * n])),
+                classification="axis-max" if is_max[n] else "axis-min",
+                hessian_det=float(np.linalg.det(
+                    _hessian_from(h, grads[7 * n + 1:7 * n + 7]))),
+                tolerance=float(tolerance[n]),
+                conclusive=bool(conclusive[n]))
+            for n, (p, (h, _)) in enumerate(zip(at, stencils))]
 
 
 @dataclass(frozen=True)

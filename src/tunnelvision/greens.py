@@ -24,12 +24,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .critical import _bracketed_root
+from .critical import _bracketed_roots
 from .domains import PlanarDomain, boundary_pieces
 from .groups import GroupElements
 from .hyperbolic import (H3Point, apply_h3_batch, geodesic_point, h3_distance,
                          h3_distance_batch, MobiusMap)
-from .measure import QuadratureConfig, harmonic_measure, measure_many
+from .measure import QuadratureConfig, measure_many
 
 __all__ = [
     "PointConfiguration",
@@ -290,35 +290,47 @@ def _interior_feet(domain: PlanarDomain, k: int) -> list[complex]:
                      f"(found {len(feet)}); domain too thin near 0?")
 
 
-def _solve_level(pieces, foot, target, config):
-    """Solve measure(foot, z) = target in z: bracket, then a root solve in log z.
+def _solve_levels(pieces, feet, targets, config):
+    """Heights z with measure(foot, z) = target on every line, in lockstep.
 
-    |z df/dz| <= 2 (the kernel's z-derivative is at most 2/z times the
-    kernel), so a log-z bracket of width ``config.tolerance`` pins the level
-    to within that tolerance.
+    Each line's bracket grows from [1/4, 4] by factors of 4 until the level
+    is crossed at both ends; then a root solve in log z.  Every round
+    evaluates the steps of all lines still open in one call.  |z df/dz| <= 2
+    (the kernel's z-derivative is at most 2/z times the kernel), so a log-z
+    bracket of width ``config.tolerance`` pins the level to within that
+    tolerance.
     """
-    def level(z):
-        return harmonic_measure(pieces, H3Point(foot.real, foot.imag, z),
-                                config).value - target
+    def levels(lines, zs):
+        pts = [H3Point(feet[j].real, feet[j].imag, z) for j, z in zip(lines, zs)]
+        return [mv.value - targets[j]
+                for j, mv in zip(lines, measure_many(pieces, pts, config))]
 
-    z_lo, z_hi = 0.25, 4.0
+    # ends[j] = [z_lo, g_lo, z_hi, g_hi]; g_lo > 0 below the level, g_hi < 0 above
+    ends = [[0.25, None, 4.0, None] for _ in feet]
+    open_ = [(j, side) for j in range(len(feet)) for side in (0, 2)]
     for _ in range(60):
-        g_lo = level(z_lo)
-        if g_lo > 0.0:
+        vals = levels([j for j, _ in open_], [ends[j][side] for j, side in open_])
+        still = []
+        for (j, side), g in zip(open_, vals):
+            if (g > 0.0) if side == 0 else (g < 0.0):
+                ends[j][side + 1] = g
+            else:
+                ends[j][side] *= 0.25 if side == 0 else 4.0
+                still.append((j, side))
+        open_ = still
+        if not open_:
             break
-        z_lo /= 4.0
-    else:
-        raise ValueError(f"level {target} not bracketed from below on {foot}")
-    for _ in range(60):
-        g_hi = level(z_hi)
-        if g_hi < 0.0:
-            break
-        z_hi *= 4.0
-    else:
-        raise ValueError(f"level {target} not bracketed from above on {foot}")
-    u = _bracketed_root(lambda u: level(math.exp(u)), math.log(z_lo),
-                        math.log(z_hi), g_lo, g_hi, config.tolerance)
-    return math.exp(u)
+    for foot, target, (_, g_lo, _, g_hi) in zip(feet, targets, ends):
+        if g_lo is None:
+            raise ValueError(f"level {target} not bracketed from below on {foot}")
+        if g_hi is None:
+            raise ValueError(f"level {target} not bracketed from above on {foot}")
+    us = _bracketed_roots(
+        lambda lines, us: levels(lines, [math.exp(u) for u in us]),
+        [(math.log(z_lo), math.log(z_hi), g_lo, g_hi)
+         for z_lo, g_lo, z_hi, g_hi in ends],
+        config.tolerance)
+    return [math.exp(u) for u in us]
 
 
 def find_quantizable(domain: PlanarDomain, k: int, ell: int,
@@ -351,9 +363,9 @@ def find_quantizable(domain: PlanarDomain, k: int, ell: int,
             raise ValueError(f"levels must sum to ell={ell}")
     tight = replace(config_q, tolerance=min(config_q.tolerance, 2.5e-10 / k))
     pieces = boundary_pieces(domain)
-    points = tuple(H3Point(foot.real, foot.imag,
-                           _solve_level(pieces, foot, target, tight))
-                   for foot, target in zip(_interior_feet(domain, k), targets))
+    feet = _interior_feet(domain, k)
+    points = tuple(H3Point(foot.real, foot.imag, z) for foot, z in
+                   zip(feet, _solve_levels(pieces, feet, targets, tight)))
     mvs = measure_many(pieces, points, tight)
     return PointConfiguration(points=points,
                               f_values=tuple(mv.value for mv in mvs),

@@ -32,7 +32,13 @@ evaluating a few points, so the drivers that evaluate one region many times
 (the dogbone experiment, the axis root solve and Hessians, Newton
 refinement, the verdict's scans and the level solves of
 :func:`~tunnelvision.greens.find_quantizable`) build the pieces once and
-pass them down.
+pass them down.  Each call also has a fixed cost, whatever its size, so the
+root solves advance all their brackets in lockstep with one call per round
+(the axis brackets of :mod:`~tunnelvision.critical`, and every line's
+bracket widening and level solve in ``find_quantizable``), and one call
+gives every axis critical point its value, gradient and Hessian stencil.
+Since a point's result does not depend on its batch, these results are the
+same as one point at a time.
 
 Error accounting is a rounding bound, not an estimate of truncation: with u
 the unit roundoff, the reported error of f is

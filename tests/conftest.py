@@ -4,7 +4,7 @@ import hypothesis
 import numpy as np
 import pytest
 
-from tunnelvision import domains
+from tunnelvision import domains, measure
 from tunnelvision.domains import dogbone
 from tunnelvision.groups import enumerate_group, side_pairing_generators
 from tunnelvision.measure import QuadratureConfig
@@ -60,4 +60,25 @@ def arrangement_builds(monkeypatch):
         if (name.startswith("tunnelvision")
                 and getattr(module, "boundary_pieces", None) is build):
             monkeypatch.setattr(module, "boundary_pieces", counting)
+    return count
+
+
+@pytest.fixture
+def measure_calls(monkeypatch):
+    """Count the ``measure_many`` calls, in every module that imports it.
+
+    Returns a one-element list holding the count; the one-point wrappers
+    count once per call, since they call ``measure_many`` themselves.
+    """
+    many = measure.measure_many
+    count = [0]
+
+    def counting(*args, **kwargs):
+        count[0] += 1
+        return many(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("tunnelvision")
+                and getattr(module, "measure_many", None) is many):
+            monkeypatch.setattr(module, "measure_many", counting)
     return count

@@ -7,7 +7,7 @@ import pytest
 
 from tunnelvision import critical
 from tunnelvision.critical import (AxisProfile, GridSpec, RefinementError,
-                                   _bracketed_root, almost_kahler_verdict,
+                                   _bracketed_roots, almost_kahler_verdict,
                                    axis_critical_points, axis_profile,
                                    dogbone_experiment, refine_critical_point_3d)
 from tunnelvision.domains import Disk, HalfPlane, Union, dogbone
@@ -20,24 +20,51 @@ REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
                          "reference.json")
 
 
+def _on_each(*fs, calls=None):
+    """g(which, xs) for brackets of the functions fs, recording every round."""
+    def g(which, xs):
+        if calls is not None:
+            calls.append(list(zip(which, xs)))
+        return [fs[n](x) for n, x in zip(which, xs)]
+    return g
+
+
 def test_bracketed_root_meets_xtol():
     calls = []
-
-    def g(x):
-        calls.append(x)
-        return math.cos(x)
-
-    x = _bracketed_root(g, 0.0, 3.0, 1.0, math.cos(3.0), 1e-12)
+    g = _on_each(math.cos, calls=calls)
+    [x] = _bracketed_roots(g, [(0.0, 3.0, 1.0, math.cos(3.0))], 1e-12)
     assert abs(x - 0.5 * math.pi) <= 0.5e-12
-    assert all(0.0 < c < 3.0 for c in calls)
+    assert all(0.0 < c < 3.0 for [(_, c)] in calls)
     assert len(calls) < 15
     # a zero hit exactly is returned as it is
-    assert _bracketed_root(lambda t: t - 1.0, 0.0, 4.0, -1.0, 3.0, 1e-9) == 1.0
+    assert _bracketed_roots(_on_each(lambda t: t - 1.0),
+                            [(0.0, 4.0, -1.0, 3.0)], 1e-9) == [1.0]
     # an xtol below the float spacing of the bracket still terminates
     calls.clear()
-    x = _bracketed_root(g, 0.0, 3.0, 1.0, math.cos(3.0), 1e-20)
+    [x] = _bracketed_roots(g, [(0.0, 3.0, 1.0, math.cos(3.0))], 1e-20)
     assert abs(x - 0.5 * math.pi) <= 4.0 * math.ulp(3.0)
     assert len(calls) < 20
+
+
+def test_bracketed_roots_solve_each_bracket_as_alone():
+    fs = (math.cos, lambda t: t - 1.0, lambda t: math.exp(-t) - 0.3, math.sin)
+    brackets = [(0.0, 3.0, 1.0, math.cos(3.0)),
+                (0.0, 4.0, -1.0, 3.0),
+                (0.0, 5.0, 0.7, math.exp(-5.0) - 0.3),
+                (2.0, 4.5, math.sin(2.0), math.sin(4.5))]
+    for xtol in (1e-12, 1e-20):
+        calls = []
+        roots = _bracketed_roots(_on_each(*fs, calls=calls), brackets, xtol)
+        alone = []
+        for n, (f, br) in enumerate(zip(fs, brackets)):
+            own = []
+            [root] = _bracketed_roots(_on_each(f, calls=own), [br], xtol)
+            assert root.hex() == roots[n].hex()
+            # the same iterates, one per round while the bracket is open
+            steps = [x for rnd in own for _, x in rnd]
+            assert steps == [x for rnd in calls for m, x in rnd if m == n]
+            alone.append(len(own))
+        assert len(calls) == max(alone) and sum(alone) > len(calls)
 
 
 def test_axis_critical_points_meet_refine_tol():
@@ -63,6 +90,8 @@ def test_axis_bracket_without_slope_sign_change():
     assert cp.classification == "axis-max"
     assert cp.location.z == 0.6
     assert not cp.conclusive
+    # nothing was solved: the tolerance is the bracket's half-width
+    assert cp.tolerance == max(0.6 - 0.5, 0.7 - 0.6)
 
 
 def test_axis_bracket_with_slopes_of_the_wrong_type():
@@ -80,6 +109,7 @@ def test_axis_bracket_with_slopes_of_the_wrong_type():
     assert cp.classification == "axis-max"
     assert cp.location.z == z_min
     assert not cp.conclusive
+    assert cp.tolerance == max(z[1] - z[0], z[2] - z[1])
 
 
 def test_verdict_axis_extrema_conclusive():
@@ -304,6 +334,42 @@ def test_verdict_builds_one_arrangement_per_refinement(arrangement_builds,
                           QuadratureConfig(tolerance=1e-4))
     assert refinements[0] > 0
     assert arrangement_builds[0] <= 2 + refinements[0]
+
+
+# -- lockstep solves: fewer evaluation calls, the same bits --------------------------
+
+# Recorded before the brackets were solved in lockstep (numpy 2.4, x86-64):
+# per critical point, z, f, f's error and the Hessian determinant as hex floats.
+DOGBONE_01_BITS = [
+    ("axis-min", "0x1.448400cc55de4p-3", "0x1.3c6f128c00d24p-7",
+     "0x1.03629cbef0e96p-46", "-0x1.3a8b3177542c4p-5"),
+    ("axis-max", "0x1.e632938304ac8p-1", "0x1.0a6108e8425c9p-5",
+     "0x1.1270a73d1a26ep-48", "0x1.3d5acc5174629p-11"),
+]
+
+
+@pytest.mark.parametrize("tol", [1e-7, 1e-9])
+def test_dogbone_reports_keep_their_bits(tol):
+    report, _ = dogbone_experiment(0.1, QuadratureConfig(tolerance=tol))
+    assert [(c.classification, c.location.z.hex(), c.f_value.hex(),
+             c.f_error.hex(), c.hessian_det.hex())
+            for c in report.critical_points] == DOGBONE_01_BITS
+    assert all(c.location.x == c.location.y == 0.0 and c.tolerance == 1e-6
+               for c in report.critical_points)
+
+
+def test_dogbone_experiment_evaluation_calls(measure_calls, arrangement_builds):
+    # f(eps) and f(1), the profile, the bracket ends, one call per solver
+    # round of both brackets together, and one for both reports
+    dogbone_experiment(0.1)
+    assert measure_calls[0] <= 9
+    assert arrangement_builds[0] <= 2
+
+
+def test_monotone_profile_makes_no_empty_evaluation(measure_calls):
+    report, profile = dogbone_experiment(0.3)
+    assert report.critical_points == () and np.all(np.diff(profile.f) < 0)
+    assert measure_calls[0] == 2
 
 
 def test_grid_spec_validation():

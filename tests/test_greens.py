@@ -245,6 +245,22 @@ def test_find_quantizable_builds_one_arrangement(arrangement_builds, dogbone01):
     assert arrangement_builds[0] == 1
 
 
+def test_find_quantizable_keeps_its_bits(dogbone01):
+    # recorded before the lines were solved in lockstep (numpy 2.4, x86-64)
+    config = find_quantizable(dogbone01, 2, 1)
+    assert [(p.x, p.y) for p in config.points] == [(0.0, 0.0), (0.0625, 0.0)]
+    assert [p.z.hex() for p in config.points] == ["0x1.c60c17e8e2e20p-10",
+                                                  "0x1.c60c1972d3a22p-10"]
+    assert [v.hex() for v in config.f_values] == ["0x1.000000001985cp-1"] * 2
+
+
+def test_find_quantizable_evaluation_calls(measure_calls, dogbone01):
+    # both lines' bracket and solver steps share one call per round (one line
+    # alone takes 14 calls), plus one for the final values
+    find_quantizable(dogbone01, 2, 1)
+    assert measure_calls[0] <= 17
+
+
 def test_find_quantizable_validation(dogbone01):
     with pytest.raises(ValueError):
         find_quantizable(dogbone01, 1, 1, CFG)
