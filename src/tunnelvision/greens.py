@@ -305,30 +305,35 @@ def _solve_levels(pieces, feet, targets, config):
         return [mv.value - targets[j]
                 for j, mv in zip(lines, measure_many(pieces, pts, config))]
 
-    # ends[j] = [z_lo, g_lo, z_hi, g_hi]; g_lo > 0 below the level, g_hi < 0 above
-    ends = [[0.25, None, 4.0, None] for _ in feet]
-    open_ = [(j, side) for j in range(len(feet)) for side in (0, 2)]
+    # widen both ends of every line's bracket until g > 0 at z_lo, g < 0 at z_hi
+    k = len(feet)
+    z_lo, z_hi = [0.25] * k, [4.0] * k
+    g_lo, g_hi = [None] * k, [None] * k
     for _ in range(60):
-        vals = levels([j for j, _ in open_], [ends[j][side] for j, side in open_])
-        still = []
-        for (j, side), g in zip(open_, vals):
-            if (g > 0.0) if side == 0 else (g < 0.0):
-                ends[j][side + 1] = g
-            else:
-                ends[j][side] *= 0.25 if side == 0 else 4.0
-                still.append((j, side))
-        open_ = still
-        if not open_:
+        low = [j for j in range(k) if g_lo[j] is None]
+        high = [j for j in range(k) if g_hi[j] is None]
+        if not low and not high:
             break
-    for foot, target, (_, g_lo, _, g_hi) in zip(feet, targets, ends):
-        if g_lo is None:
+        vals = levels(low + high, [z_lo[j] for j in low] + [z_hi[j] for j in high])
+        for j, g in zip(low, vals):
+            if g > 0.0:
+                g_lo[j] = g
+            else:
+                z_lo[j] /= 4.0
+        for j, g in zip(high, vals[len(low):]):
+            if g < 0.0:
+                g_hi[j] = g
+            else:
+                z_hi[j] *= 4.0
+    for foot, target, lo, hi in zip(feet, targets, g_lo, g_hi):
+        if lo is None:
             raise ValueError(f"level {target} not bracketed from below on {foot}")
-        if g_hi is None:
+        if hi is None:
             raise ValueError(f"level {target} not bracketed from above on {foot}")
     us = _bracketed_roots(
         lambda lines, us: levels(lines, [math.exp(u) for u in us]),
-        [(math.log(z_lo), math.log(z_hi), g_lo, g_hi)
-         for z_lo, g_lo, z_hi, g_hi in ends],
+        [(math.log(a), math.log(b), ga, gb)
+         for a, b, ga, gb in zip(z_lo, z_hi, g_lo, g_hi)],
         config.tolerance)
     return [math.exp(u) for u in us]
 

@@ -194,9 +194,13 @@ class MobiusMap:
 
 
 def h3_distance(p: H3Point, q: H3Point) -> float:
-    """Hyperbolic distance, via cosh d = 1 + (|dw|^2 + dz^2) / (2 z_p z_q)."""
+    """Hyperbolic distance, via sinh(d/2) = |p - q| / (2 sqrt(z_p z_q)).
+
+    This is cosh d = 1 + |p - q|^2 / (2 z_p z_q) without the cancellation
+    of acosh near 1, which returns 0 for points closer than about 1e-8.
+    """
     dd = (p.x - q.x) ** 2 + (p.y - q.y) ** 2 + (p.z - q.z) ** 2
-    return math.acosh(1.0 + dd / (2.0 * p.z * q.z))
+    return 2.0 * math.asinh(0.5 * math.sqrt(dd / (p.z * q.z)))
 
 
 def h3_distance_batch(pts: np.ndarray, q: H3Point) -> np.ndarray:

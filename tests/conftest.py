@@ -41,6 +41,25 @@ def genus2_elements(genus2_generators):
     return enumerate_group(genus2_generators, 6)
 
 
+def _count_calls(monkeypatch, fn, counts=lambda *args: True):
+    """Patch ``fn`` in every tunnelvision module that imports it to count calls.
+
+    Returns a one-element list holding the number of calls for which
+    ``counts`` is true.
+    """
+    count = [0]
+
+    def counting(*args, **kwargs):
+        count[0] += bool(counts(*args))
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("tunnelvision")
+                and getattr(module, fn.__name__, None) is fn):
+            monkeypatch.setattr(module, fn.__name__, counting)
+    return count
+
+
 @pytest.fixture
 def arrangement_builds(monkeypatch):
     """Count the boundary arrangements built, in every module that imports the builder.
@@ -48,19 +67,9 @@ def arrangement_builds(monkeypatch):
     Returns a one-element list holding the count; passing prepared pieces
     through ``boundary_pieces`` is not a build.
     """
-    build = domains.boundary_pieces
-    count = [0]
-
-    def counting(domain):
-        if not isinstance(domain, domains.BoundaryPieces):
-            count[0] += 1
-        return build(domain)
-
-    for name, module in list(sys.modules.items()):
-        if (name.startswith("tunnelvision")
-                and getattr(module, "boundary_pieces", None) is build):
-            monkeypatch.setattr(module, "boundary_pieces", counting)
-    return count
+    return _count_calls(
+        monkeypatch, domains.boundary_pieces,
+        lambda domain: not isinstance(domain, domains.BoundaryPieces))
 
 
 @pytest.fixture
@@ -70,15 +79,4 @@ def measure_calls(monkeypatch):
     Returns a one-element list holding the count; the one-point wrappers
     count once per call, since they call ``measure_many`` themselves.
     """
-    many = measure.measure_many
-    count = [0]
-
-    def counting(*args, **kwargs):
-        count[0] += 1
-        return many(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if (name.startswith("tunnelvision")
-                and getattr(module, "measure_many", None) is many):
-            monkeypatch.setattr(module, "measure_many", counting)
-    return count
+    return _count_calls(monkeypatch, measure.measure_many)

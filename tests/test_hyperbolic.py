@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 from scipy.optimize import minimize
 
 from tunnelvision.hyperbolic import (INFINITY, DiskPoint, H3Point, MobiusMap,
@@ -75,6 +75,8 @@ def test_distance_matches_path_length_minimization():
 
 
 @given(h3_point_st(), h3_point_st(), h3_point_st())
+# r 1e-10 from p: acosh(1 + tiny) rounds that distance to 0
+@example(H3Point(0.0, 0.0, 1.0), H3Point(0.0, 1.0, 1.0), H3Point(0.0, 1e-10, 1.0))
 def test_distance_is_a_metric(p, q, r):
     dpq = h3_distance(p, q)
     assert dpq == pytest.approx(h3_distance(q, p), abs=1e-12)
