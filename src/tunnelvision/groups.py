@@ -17,13 +17,17 @@ map is built as (rotation about 0) o (hyperbolic translation of length 2 ya
 along the axis perpendicular to the source edge); correctness is enforced by
 the relator product and fundamental-domain tests, not by derivation, and
 tests must not assume specific matrix entries (any conjugate choice is as
-good).  Word enumeration goes by length shells, one batched matrix product
-per shell less free backtracks.  The relator has even length, so a new word
-of length n + 1 is an element of length n + 1 or n - 1 and is compared only
-with the other new words and with shell n - 1, by the orbit point of 0 (its
-hyperboloid coordinate 2ab, unchanged under M -> -M).  Distinct orbit points
-lie at least 2 sinh(ya) apart (4.39 for genus 2), as the polygon holds the
-disk of radius ya about 0, so no tolerance is needed.
+good).  Word enumeration goes by length shells.  Each shell extends every
+word of the previous one by every letter that does not backtrack, and
+writes each product out entry by entry (a e + b g, a f + b h, c e + d g,
+c f + d h) over the gathered parent and letter rows.  The relator has even
+length, so a new word of length n + 1 is an element of length n + 1 or
+n - 1 and is compared only with the other new words and with shell n - 1,
+by the orbit point of 0 (its hyperboloid coordinate 2ab, unchanged under
+M -> -M).  Distinct orbit points lie at least 2 sinh(ya) apart (4.39 for
+genus 2), as the polygon holds the disk of radius ya about 0, so no
+tolerance is needed: a sort and sweep over the keys' real parts finds the
+pairs within half that separation, and the later word of each is dropped.
 
 :func:`enumerate_group` returns the shells as one array record,
 :class:`GroupElements`: the renormalized matrices, word lengths, and the
@@ -169,7 +173,7 @@ class GroupElements(Sequence):
             return replace(self, matrices=self.matrices[:n], lengths=self.lengths[:n],
                            parent=self.parent[:n], letter=self.letter[:n])
         i = range(len(self))[key]
-        return GroupElement(MobiusMap._from_normalized(*self.matrices[i].ravel().tolist()),
+        return GroupElement(MobiusMap(*self.matrices[i].ravel().tolist()),
                             self._word(i))
 
     def __iter__(self):
@@ -183,7 +187,7 @@ class GroupElements(Sequence):
             for start in range(lo, hi, 4096):  # rows as Python numbers, a block at a time
                 rows = self.matrices[start:min(start + 4096, hi)].reshape(-1, 4).tolist()
                 for k, row in enumerate(rows, start - lo):
-                    yield GroupElement(MobiusMap._from_normalized(*row), words[k])
+                    yield GroupElement(MobiusMap(*row), words[k])
 
 
 def regular_polygon(genus: int) -> PolygonData:
@@ -284,12 +288,34 @@ def surface_relator(generators: list[GroupElement]) -> MobiusMap:
 _AMBIGUOUS = 1e-3
 
 
+def _near_pairs(keys: np.ndarray, radius: float) -> np.ndarray:
+    """Index pairs (i, j), i < j, of complex keys at most ``radius`` apart.
+
+    A sort and sweep over the real part (Shamos & Hoey, 1976): with the keys
+    sorted by real part, position i is compared with i + k for k = 1, 2, ...
+    while the real-part gap stays within the radius.  That gap is the real
+    part of the difference whose modulus is tested, and it grows with k, so
+    no pair within the radius is skipped and the set of active positions
+    only shrinks.  Returns an (m, 2) integer array in no particular order.
+    """
+    order = np.argsort(keys.real)
+    z = keys[order]
+    found = []
+    active = np.arange(len(keys) - 1)
+    k = 1
+    while len(active):
+        active = active[z.real[active + k] - z.real[active] <= radius]
+        near = active[np.abs(z[active + k] - z[active]) <= radius]
+        found.append(np.column_stack([order[near], order[near + k]]))
+        k += 1
+        active = active[active + k < len(keys)]
+    pairs = np.concatenate(found) if found else np.empty((0, 2), dtype=np.intp)
+    return np.sort(pairs, axis=1)
+
+
 def _first_of_pairs(keys: np.ndarray, separation: float) -> np.ndarray:
     """Mask of the complex keys with no earlier key within half the separation."""
-    from scipy.spatial import cKDTree  # deferred: keeps scipy out of CLI start-up
-
-    xy = np.column_stack([keys.real, keys.imag])
-    pairs = cKDTree(xy).query_pairs(separation / 2.0, output_type="ndarray")
+    pairs = _near_pairs(keys, separation / 2.0)
     keep = np.ones(len(keys), dtype=bool)
     if len(pairs):
         gap = np.abs(keys[pairs[:, 0]] - keys[pairs[:, 1]]).max()
@@ -305,7 +331,9 @@ def _shells(generators: list[GroupElement], depth: int):
 
     ``mats`` are raw (not renormalized) products, ``parent`` indexes the
     previous shell and ``letter`` the appended one (2i: generator i, 2i + 1:
-    its inverse); rows are ordered by parent, then by letter.
+    its inverse); rows are ordered by parent, then by letter.  Each product
+    is written out entry by entry over the gathered parent and letter rows,
+    and only for words that are not free backtracks.
     """
     letters = np.array([m for gen in generators
                         for m in (gen.map.matrix(), gen.map.inverse().matrix())])
@@ -314,14 +342,18 @@ def _shells(generators: list[GroupElement], depth: int):
     mats, backtrack = np.eye(2, dtype=complex)[None], np.array([-1])
     old_keys, keys = np.empty(0, dtype=complex), np.zeros(1, dtype=complex)
     for _ in range(depth):
-        cand = np.matmul(mats[:, None], letters).reshape(-1, 2, 2)
-        parent, letter = np.divmod(np.arange(len(cand)), len(letters))
-        idx = np.flatnonzero(letter != backtrack[parent])
-        both = np.concatenate([old_keys, 2.0 * cand[idx, 0, 0] * cand[idx, 0, 1]])
+        parent, letter = np.divmod(np.arange(len(mats) * len(letters)), len(letters))
+        reduced = letter != backtrack[parent]
+        parent, letter = parent[reduced], letter[reduced]
+        (a, b), (c, d) = mats[parent, 0].T, mats[parent, 1].T
+        (e, f), (g, h) = letters[letter, 0].T, letters[letter, 1].T
+        cand = np.empty((len(parent), 2, 2), dtype=complex)
+        cand[:, 0, 0], cand[:, 0, 1] = a * e + b * g, a * f + b * h
+        cand[:, 1, 0], cand[:, 1, 1] = c * e + d * g, c * f + d * h
+        both = np.concatenate([old_keys, 2.0 * cand[:, 0, 0] * cand[:, 0, 1]])
         new = _first_of_pairs(both, separation)[len(old_keys):]
         old_keys, keys = keys, both[len(old_keys):][new]
-        idx = idx[new]
-        mats, parent, letter = cand[idx], parent[idx], letter[idx]
+        mats, parent, letter = cand[new], parent[new], letter[new]
         backtrack = letter ^ 1
         yield mats, parent, letter
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,12 @@ __all__ = [
 #: Marker for the boundary point at infinity of the Riemann sphere.
 INFINITY = complex(math.inf, 0.0)
 
+#: A map is renormalized when |det - 1| exceeds the larger of these: an
+#: absolute tolerance, and the rounding scale of the float determinant
+#: itself, 16 eps (|a||d| + |b||c|).  Below ~280 for |a||d| + |b||c| the
+#: first one rules.  Once renormalized, a map passes the test again.
 _DET_TOL = 1e-12
+_DET_ROUNDING = 16.0 * sys.float_info.epsilon
 
 
 def _is_infinity(zeta: complex) -> bool:
@@ -83,8 +89,13 @@ class MobiusMap:
     """A unit-determinant fractional-linear map ``zeta -> (a zeta + b)/(c zeta + d)``.
 
     The determinant is renormalized to 1 on construction (orbit enumeration
-    composes thousands of maps, so drift must not accumulate).  ``m @ n`` is
-    composition (apply ``n`` first), matching matrix multiplication.
+    composes thousands of maps, so drift must not accumulate): the entries
+    are divided by sqrt(det) when |det - 1| exceeds both 1e-12 and
+    16 eps (|a||d| + |b||c|), the rounding scale of the float determinant.
+    Below that scale the float determinant cannot tell drift from its own
+    rounding, so the rule is idempotent: the entries of a constructed map
+    construct the same map again, bit for bit.  ``m @ n`` is composition
+    (apply ``n`` first), matching matrix multiplication.
     """
 
     a: complex
@@ -96,7 +107,8 @@ class MobiusMap:
         det = self.a * self.d - self.b * self.c
         if det == 0:
             raise ValueError("singular matrix is not a Mobius map")
-        if abs(det - 1.0) > _DET_TOL:
+        size = abs(self.a) * abs(self.d) + abs(self.b) * abs(self.c)
+        if abs(det - 1.0) > max(_DET_TOL, _DET_ROUNDING * size):
             s = 1.0 / cmath.sqrt(det)
             object.__setattr__(self, "a", self.a * s)
             object.__setattr__(self, "b", self.b * s)
@@ -104,20 +116,6 @@ class MobiusMap:
             object.__setattr__(self, "d", self.d * s)
 
     # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def _from_normalized(cls, a, b, c, d) -> "MobiusMap":
-        """The map with these entries as given, without renormalizing again.
-
-        For entries this class (or :func:`renormalize_batch`) already
-        renormalized.  The rule is not idempotent: once entries reach ~100
-        the rounding error of the float determinant exceeds 1e-12, so a
-        second pass divides again and changes the last bits.
-        """
-        m = object.__new__(cls)
-        for name, v in zip("abcd", (a, b, c, d)):
-            object.__setattr__(m, name, v)
-        return m
 
     @staticmethod
     def identity() -> "MobiusMap":
@@ -204,9 +202,13 @@ def h3_distance(p: H3Point, q: H3Point) -> float:
 
 
 def h3_distance_batch(pts: np.ndarray, q: H3Point) -> np.ndarray:
-    """Distances from each row of an (n, 3) array of points to ``q``."""
+    """Distances from each row of an (n, 3) array of points to ``q``.
+
+    The formula of :func:`h3_distance`, row by row, so close points keep
+    their distance.
+    """
     dd = (pts[:, 0] - q.x) ** 2 + (pts[:, 1] - q.y) ** 2 + (pts[:, 2] - q.z) ** 2
-    return np.arccosh(1.0 + dd / (2.0 * pts[:, 2] * q.z))
+    return 2.0 * np.arcsinh(0.5 * np.sqrt(dd / (pts[:, 2] * q.z)))
 
 
 def disk_distance(u: DiskPoint, v: DiskPoint) -> float:
@@ -310,8 +312,9 @@ def _mul(xr, xi, yr, yi):
 def renormalize_batch(mats: np.ndarray) -> None:
     """Renormalize a complex (n, 2, 2) stack in place by :class:`MobiusMap`'s rule.
 
-    Rows with |det - 1| > 1e-12 are divided by sqrt(det); the others are
-    kept.  Each step is CPython's complex arithmetic spelled out in floats
+    Rows with |det - 1| > max(1e-12, 16 eps (|a||d| + |b||c|)) are divided
+    by sqrt(det); the others are kept, so a second pass changes nothing.
+    Each step is CPython's complex arithmetic spelled out in floats
     (the product, ``cmath.sqrt`` away from subnormals, the quotient
     1/sqrt(det)), so every row ends bit-identical to
     ``MobiusMap(*row).matrix()``.
@@ -324,7 +327,8 @@ def renormalize_batch(mats: np.ndarray) -> None:
     det_r, det_i = adr - bcr, adi - bci
     if np.any((det_r == 0.0) & (det_i == 0.0)):
         raise ValueError("singular matrix is not a Mobius map")
-    need = np.hypot(det_r - 1.0, det_i) > _DET_TOL
+    size = np.abs(a) * np.abs(d) + np.abs(b) * np.abs(c)
+    need = np.hypot(det_r - 1.0, det_i) > np.maximum(_DET_TOL, _DET_ROUNDING * size)
     det_r, det_i = det_r[need], det_i[need]
     ax, ay = np.abs(det_r) / 8.0, np.abs(det_i)
     big = 2.0 * np.sqrt(ax + np.hypot(ax, ay / 8.0))

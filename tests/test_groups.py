@@ -6,10 +6,11 @@ import pytest
 
 from tunnelvision.domains import hausdorff_distance
 from tunnelvision.groups import (DedupCollisionError, GroupElement,
-                                 GroupElements, _shells, enumerate_group,
-                                 limit_set_sample, min_genus, orbit_cloud,
-                                 polygon_contains, regular_polygon,
-                                 side_pairing_generators, surface_relator)
+                                 GroupElements, _near_pairs, _shells,
+                                 enumerate_group, limit_set_sample, min_genus,
+                                 orbit_cloud, polygon_contains,
+                                 regular_polygon, side_pairing_generators,
+                                 surface_relator)
 from tunnelvision.hyperbolic import DiskPoint, MobiusMap, disk_distance
 
 
@@ -312,6 +313,59 @@ def test_record_matrices_follow_mobius_rule(genus2_generators, genus2_elements):
     size = np.abs(a) * np.abs(d) + np.abs(b) * np.abs(c)
     assert np.all(err <= 4 * np.finfo(float).eps * size)
     assert err[genus2_elements.lengths <= 3].max() <= 1e-12
+
+
+def test_record_rows_survive_mobius_map(genus2_elements):
+    # the renormalization is idempotent: a renormalized row is kept as it is
+    mats = genus2_elements.matrices
+    again = np.array([MobiusMap(*row).matrix()
+                      for row in mats.reshape(-1, 4).tolist()])
+    assert np.array_equal(again.view(float), mats.view(float))
+
+
+def test_shell_products_match_matmul(genus2_generators):
+    # entry-wise products against numpy's matmul of the same rows, to the
+    # rounding of a two-term complex dot product
+    letters = np.array([m for gen in genus2_generators
+                        for m in (gen.map.matrix(), gen.map.inverse().matrix())])
+    eps = np.finfo(float).eps
+    prev = np.eye(2, dtype=complex)[None]
+    for mats, parent, letter in _shells(genus2_generators, 6):
+        rows, cols = prev[parent], letters[letter]
+        err = np.abs(mats - rows @ cols)
+        assert np.all(err <= 2 * eps * (np.abs(rows) @ np.abs(cols)))
+        prev = mats
+
+
+def _brute_force_pairs(keys, radius):
+    i, j = np.triu_indices(len(keys), 1)
+    near = np.abs(keys[i] - keys[j]) <= radius
+    return set(zip(i[near].tolist(), j[near].tolist()))
+
+
+def test_near_pairs_match_brute_force():
+    rng = np.random.default_rng(2024)
+    radius = 0.25
+    up, down = np.nextafter(radius, 1.0), np.nextafter(radius, 0.0)
+    tied = rng.choice(np.linspace(-1.0, 1.0, 9), 300) + 1j * rng.uniform(-1, 1, 300)
+    loose = rng.uniform(-2, 2, 300) + 1j * rng.uniform(-2, 2, 300)
+    base = rng.uniform(-1, 1, 20) + 1j * rng.uniform(-1, 1, 20)
+    # partners within one ulp of the radius, along each axis and a diagonal
+    edge = [b + step for b in base
+            for r in (down, radius, up)
+            for step in (r, -r, 1j * r, r * np.exp(0.25j * np.pi))]
+    exact = [0j, 0.25 + 0j, 0.25j, complex(up, 0.0), complex(0.0, -up)]
+    keys = np.concatenate([tied, loose, edge, exact])
+    pairs = _near_pairs(keys, radius)
+    assert pairs.shape[1] == 2 and np.all(pairs[:, 0] < pairs[:, 1])
+    found = set(map(tuple, pairs.tolist()))
+    assert len(found) == len(pairs)
+    expected = _brute_force_pairs(keys, radius)
+    assert found == expected
+    n = len(keys) - len(exact)
+    assert {(n, n + 1), (n, n + 2)} <= found and (n, n + 3) not in found
+    for count in (0, 1):
+        assert _near_pairs(keys[:count], radius).shape == (0, 2)
 
 
 @pytest.mark.parametrize("zeta", [0j, 0.1 + 0.2j, -0.5 + 0.3j])

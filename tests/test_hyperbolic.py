@@ -7,7 +7,7 @@ from scipy.optimize import minimize
 
 from tunnelvision.hyperbolic import (INFINITY, DiskPoint, H3Point, MobiusMap,
                                      disk_distance, disk_to_h3, h3_distance,
-                                     laplace_beltrami)
+                                     h3_distance_batch, laplace_beltrami)
 
 finite = st.floats(-5.0, 5.0, allow_nan=False)
 heights = st.floats(0.05, 20.0, allow_nan=False)
@@ -47,6 +47,21 @@ def test_distance_identity_and_vertical():
     p = H3Point(0, 0, 1)
     assert h3_distance(p, p) == 0.0
     assert h3_distance(p, H3Point(0, 0, math.e)) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_distance_batch_matches_scalar():
+    rng = np.random.default_rng(7)
+    q = H3Point(0.1, -0.2, 0.8)
+    far = np.column_stack([rng.uniform(-3, 3, 400), rng.uniform(-3, 3, 400),
+                           rng.uniform(0.05, 5.0, 400)])
+    offsets = rng.normal(size=(100, 3)) * np.logspace(-14, -2, 100)[:, None]
+    pts = np.vstack([far, q.as_array() + offsets])
+    batch = h3_distance_batch(pts, q)
+    scalar = np.array([h3_distance(H3Point(*row), q) for row in pts.tolist()])
+    assert np.all(np.abs(batch - scalar) <= 4 * np.spacing(scalar))
+    # no cancellation: a point 1e-10 away keeps its distance
+    close = h3_distance_batch(np.array([[0.0, 1e-10, 1.0]]), H3Point(0, 0, 1))
+    assert close[0] == pytest.approx(1e-10, rel=0.01)
 
 
 def test_distance_matches_path_length_minimization():
