@@ -19,7 +19,7 @@ from tunnelvision.measure import QuadratureConfig
 from tunnelvision.runio import write_csv
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--domain", required=True,
                     help="JSON domain specification file")
@@ -28,19 +28,19 @@ def main():
     ap.add_argument("--u-mode", choices=["height", "sqrt_f"],
                     default="sqrt_f")
     ap.add_argument("--tol", type=float, default=1e-7)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     with open(args.domain) as fh:
         domain = domain_from_obj(json.load(fh))
     grid = GridSpec.for_domain(domain, args.n)
-    rows, nonconverged = form_norm_grid(
+    table, record = form_norm_grid(
         domain, grid, QuadratureConfig(tolerance=args.tol), u_mode=args.u_mode)
     write_csv(args.out,
               ["x [boundary coords]", "y [boundary coords]",
                "z [model height]", "omega_norm [1]", "weighted_norm [1]"],
-              rows)
-    print(f"wrote {args.out} ({len(rows)} rows, "
-          f"{nonconverged} not converged)")
+              table.tolist())
+    print(f"wrote {args.out} ({len(table)} rows, "
+          f"{int((~record.converged).sum())} not converged)")
     return 0
 
 

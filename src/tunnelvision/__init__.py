@@ -17,7 +17,7 @@ from .domains import (PlanarDomain, Disk, HalfPlane, SimplePolygon, Union,
                       Intersection, Difference, DogboneSpec, dogbone,
                       reflection_symmetric, hausdorff_distance,
                       boundary_points, boundary_pieces, domain_from_obj)
-from .measure import (QuadratureConfig, MeasureValue, QuadratureError,
+from .measure import (QuadratureConfig, MeasureValue, MeasureValues, QuadratureError,
                       poisson_kernel, kernel_mass, harmonic_measure,
                       measure_many, measure_with_gradient,
                       halfplane_closed_form, disk_closed_form)

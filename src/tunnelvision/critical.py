@@ -27,8 +27,7 @@ import numpy as np
 from .domains import (BoundaryPieces, PlanarDomain, boundary_pieces, dogbone,
                       reflection_symmetric)
 from .hyperbolic import H3Point
-from .measure import (MeasureValue, QuadratureConfig, measure_many,
-                      measure_with_gradient)
+from .measure import MeasureValue, QuadratureConfig, measure_many
 
 __all__ = [
     "AxisProfile",
@@ -153,18 +152,29 @@ class GridSpec:
         zs = np.geomspace(self.z[0], self.z[1], int(self.z[2]))
         return xs, ys, zs
 
-    def points(self):
-        """The grid points, x slowest and z fastest."""
-        xs, ys, zs = self.axes()
-        return [H3Point(float(x), float(y), float(z))
-                for x in xs for y in ys for z in zs]
+    def points(self) -> np.ndarray:
+        """The grid points as an (n, 3) array of (x, y, z), x slowest and z fastest."""
+        return np.stack([c.ravel() for c in np.meshgrid(*self.axes(), indexing="ij")],
+                        axis=1)
 
     def to_obj(self):
         return {"x": list(self.x), "y": list(self.y), "z": list(self.z)}
 
 
 def _axis_points(zs):
-    return [H3Point(0.0, 0.0, z) for z in zs]
+    """Points (0, 0, z) as an (n, 3) array."""
+    zs = np.asarray(zs, dtype=float)
+    return np.stack([np.zeros_like(zs), np.zeros_like(zs), zs], axis=1)
+
+
+def _hyperbolic_norms(points, g):
+    """z |g| per row of points (n, 3) and gradients g (n, 3).
+
+    The same bits as ``z * float(np.linalg.norm(g))`` row by row: the
+    squared norm is a batched matmul, since a sum of squares or ``einsum``
+    rounds differently from ``np.linalg.norm`` on some rows.
+    """
+    return points[:, 2] * np.sqrt((g[:, None, :] @ g[:, :, None])[:, 0, 0])
 
 
 def axis_profile(domain: PlanarDomain | BoundaryPieces, z_min: float,
@@ -179,11 +189,9 @@ def axis_profile(domain: PlanarDomain | BoundaryPieces, z_min: float,
     if n < 2:
         raise ValueError("need at least two samples")
     zs = np.geomspace(z_min, z_max, n)
-    vals = measure_many(domain, _axis_points(zs.tolist()), config)
-    return AxisProfile(z=zs,
-                       f=np.array([v.value for v in vals]),
-                       err=np.array([v.error for v in vals]),
-                       converged=np.array([v.converged for v in vals]))
+    record = measure_many(domain, _axis_points(zs), config)
+    return AxisProfile(z=zs, f=record.values, err=record.errors,
+                       converged=record.converged)
 
 
 def _require_axis_symmetric(domain: PlanarDomain):
@@ -240,10 +248,10 @@ def _bracketed_roots(g, brackets, xtol):
 
 
 def _hessian_stencil(p):
-    """The step h and the six points p +- h e_k of the Hessian at p."""
-    h = max(1e-4, 2e-3 * p.z)
-    base = p.as_array()
-    return h, [H3Point(*(base + s)) for d in h * np.eye(3) for s in (d, -d)]
+    """The step h and the six points p +- h e_k, (6, 3), of the Hessian at p (x, y, z)."""
+    h = max(1e-4, 2e-3 * float(p[2]))
+    steps = h * np.eye(3)
+    return h, p + np.stack([steps, -steps], axis=1).reshape(6, 3)
 
 
 def _hessian_from(h, grads):
@@ -252,10 +260,11 @@ def _hessian_from(h, grads):
     return 0.5 * (H + H.T)
 
 
-def _hessian_at(pieces, p, config):
-    """Coordinate Hessian of the measure at p, from one stencil evaluation."""
+def _with_hessian(pieces, p, config):
+    """Value, gradient and coordinate Hessian at p (x, y, z), from one evaluation."""
     h, stencil = _hessian_stencil(p)
-    return _hessian_from(h, measure_many(pieces, stencil, config, gradient=True)[1])
+    record = measure_many(pieces, np.vstack([p, stencil]), config, gradient=True)
+    return record[0], record.gradients[0], _hessian_from(h, record.gradients[1:])
 
 
 def axis_critical_points(profile: AxisProfile, domain: PlanarDomain,
@@ -294,14 +303,15 @@ def _axis_extrema(profile, pieces, refine_tol, config):
     if not len(i):
         return []
     # df/dz at both ends of every bracket, in one batched evaluation
-    ends = _axis_points(np.stack([z[i], z[i + 2]], axis=1).ravel())
-    mvs, grads, gerrs = measure_many(pieces, ends, config, gradient=True)
-    slope = grads[:, 2].reshape(-1, 2)
-    slope_err = gerrs[:, 2].reshape(-1, 2)
-    converged = np.array([mv.converged for mv in mvs]).reshape(-1, 2)
+    ends = measure_many(pieces, _axis_points(np.stack([z[i], z[i + 2]], axis=1).ravel()),
+                        config, gradient=True)
+    slope = ends.gradients[:, 2].reshape(-1, 2)
+    slope_err = ends.gradient_errors[:, 2].reshape(-1, 2)
+    converged = ends.converged.reshape(-1, 2)
 
     def dfdz(_, zs):
-        return measure_many(pieces, _axis_points(zs), config, gradient=True)[1][:, 2]
+        return measure_many(pieces, _axis_points(zs), config,
+                            gradient=True).gradients[:, 2].tolist()
 
     is_max = df[i] > 0.0
     # f rises into a max and falls into a min: oriented slopes are + then -
@@ -318,21 +328,21 @@ def _axis_extrema(profile, pieces, refine_tol, config):
 
     # every report's value and gradient, then its Hessian stencil: 7 points each
     at = _axis_points(z_star)
-    stencils = [_hessian_stencil(p) for p in at]
-    mvs, grads, _ = measure_many(
-        pieces, [q for p, (_, st) in zip(at, stencils) for q in (p, *st)],
-        config, gradient=True)
+    steps, stencils = zip(*map(_hessian_stencil, at))
+    record = measure_many(pieces, np.concatenate(
+        [np.vstack([p, st]) for p, st in zip(at, stencils)]), config, gradient=True)
+    grads = record.gradients.reshape(-1, 7, 3)
+    norms = _hyperbolic_norms(at, grads[:, 0])
     return [CriticalPointReport(
-                location=p,
-                f_value=mvs[7 * n].value,
-                f_error=mvs[7 * n].error,
-                grad_norm_hyperbolic=p.z * float(np.linalg.norm(grads[7 * n])),
+                location=H3Point(0.0, 0.0, z_star[n]),
+                f_value=float(record.values[7 * n]),
+                f_error=float(record.errors[7 * n]),
+                grad_norm_hyperbolic=float(norms[n]),
                 classification="axis-max" if is_max[n] else "axis-min",
-                hessian_det=float(np.linalg.det(
-                    _hessian_from(h, grads[7 * n + 1:7 * n + 7]))),
+                hessian_det=float(np.linalg.det(_hessian_from(h, grads[n, 1:]))),
                 tolerance=float(tolerance[n]),
                 conclusive=bool(conclusive[n]))
-            for n, (p, (h, _)) in enumerate(zip(at, stencils))]
+            for n, h in enumerate(steps)]
 
 
 @dataclass(frozen=True)
@@ -413,18 +423,17 @@ def refine_critical_point_3d(domain: PlanarDomain, p0: H3Point, tol: float,
     z_lo, z_hi = p0.z / 64.0, p0.z * 64.0
     pieces = boundary_pieces(domain)
 
+    # each candidate is evaluated with its Hessian stencil, in one call
     p = p0
-    mv, grad, _ = measure_with_gradient(pieces, p, config)
+    mv, grad, H = _with_hessian(pieces, p.as_array(), config)
     norm = p.z * float(np.linalg.norm(grad))
     for _ in range(max_steps):
         if norm < tol:
-            H = _hessian_at(pieces, p, config)
             return CriticalPointReport(
                 location=p, f_value=mv.value, f_error=mv.error,
                 grad_norm_hyperbolic=norm, classification="3d-refined",
                 hessian_det=float(np.linalg.det(H)), tolerance=tol,
             )
-        H = _hessian_at(pieces, p, config)
         try:
             step = np.linalg.solve(H, -grad)
         except np.linalg.LinAlgError as exc:
@@ -437,10 +446,10 @@ def refine_critical_point_3d(domain: PlanarDomain, p0: H3Point, tol: float,
                     or not z_lo < cand[2] < z_hi):
                 raise RefinementError(f"left the search box at {cand}")
             q = H3Point(*cand)
-            mv2, grad2, _ = measure_with_gradient(pieces, q, config)
+            mv2, grad2, H2 = _with_hessian(pieces, cand, config)
             norm2 = q.z * float(np.linalg.norm(grad2))
             if norm2 < norm * (1.0 - 0.25 * lam) or norm2 < tol:
-                p, mv, grad, norm = q, mv2, grad2, norm2
+                p, mv, grad, H, norm = q, mv2, grad2, H2, norm2
                 improved = True
                 break
             lam *= 0.5
@@ -482,14 +491,13 @@ def almost_kahler_verdict(domain: PlanarDomain, search: GridSpec | None = None,
         reports.extend(_axis_extrema(profile, pieces, 1e-6, config))
 
     pts = search.points()
-    values, grads, _ = measure_many(pieces, pts, config, gradient=True)
-    nonconverged += sum(not mv.converged for mv in values)
-    norms = np.array([p.z * float(np.linalg.norm(g))
-                      for p, g in zip(pts, grads)])
+    scan = measure_many(pieces, pts, config, gradient=True)
+    nonconverged += int((~scan.converged).sum())
+    norms = _hyperbolic_norms(pts, scan.gradients)
     min_norm = float(norms.min())
 
-    for idx in np.nonzero(norms < threshold)[0]:
-        p = pts[int(idx)]
+    for row in pts[norms < threshold].tolist():
+        p = H3Point(*row)
         if any(_close(p, rep.location) for rep in reports):
             continue
         try:

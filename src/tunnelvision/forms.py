@@ -31,7 +31,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .critical import GridSpec, RefinementError, refine_critical_point_3d
+from .critical import (GridSpec, RefinementError, _hyperbolic_norms,
+                       refine_critical_point_3d)
 from .domains import BoundaryPieces, PlanarDomain
 from .hyperbolic import H3Point
 from .measure import QuadratureConfig, measure_many, measure_with_gradient
@@ -199,12 +200,12 @@ def boundary_expansion_check(domain: PlanarDomain, boundary_foot: complex,
         raise ValueError("foot point is not inside the region")
     if side == "outside" and inside:
         raise ValueError("foot point is not outside the region")
-    pts = [H3Point(boundary_foot.real, boundary_foot.imag, z) for z in zs]
-    mvs = measure_many(domain, pts)
-    if not all(mv.converged for mv in mvs):
+    record = measure_many(domain, np.array([(boundary_foot.real, boundary_foot.imag, z)
+                                            for z in zs]))
+    if not record.converged.all():
         raise ValueError("a measure evaluation did not converge; "
                          "its residual cannot be fitted")
-    residuals = [1.0 - mv.value if side == "inside" else mv.value for mv in mvs]
+    residuals = (1.0 - record.values if side == "inside" else record.values).tolist()
     if any(r <= 0 for r in residuals):
         raise ValueError("nonpositive residual; heights outside the regime")
     slope, intercept = np.polyfit(np.log(zs), np.log(residuals), 1)
@@ -246,30 +247,30 @@ class ZeroLocusReport:
 def form_norm_grid(domain: PlanarDomain | BoundaryPieces, grid: GridSpec,
                    quad: QuadratureConfig = QuadratureConfig(),
                    u_mode: str = "height"):
-    """Rows (x, y, z, omega_norm_g0, weighted_norm) over a search grid.
+    """The table (x, y, z, omega_norm_g0, weighted_norm) over a search grid.
 
-    The flat table behind :func:`zero_locus_report`, in grid order;
-    ``weighted_norm`` is omega_norm / u^2 for the chosen defining function.
-    Returns ``(rows, nonconverged)``, the second the number of grid
-    evaluations whose quadrature did not converge.  ``domain`` may be the
-    region's prepared boundary pieces.
+    The flat table behind :func:`zero_locus_report`: an (n, 5) array, one
+    row per grid point in grid order; ``weighted_norm`` is omega_norm / u^2
+    for the chosen defining function, and inf where u = 0.  Returns
+    ``(table, record)``, the second the grid's :class:`MeasureValues` (with
+    gradients), whose ``converged`` flags the evaluations that did not
+    converge.  ``domain`` may be the region's prepared boundary pieces.
     """
+    if u_mode not in ("height", "sqrt_f"):
+        raise ValueError("u_mode must be 'height' or 'sqrt_f'")
     pts = grid.points()
-    values, grads, _ = measure_many(domain, pts, quad, gradient=True)
-    rows = []
-    for p, mv, g in zip(pts, values, grads):
-        omega = SQRT2 * (p.z * float(np.linalg.norm(g)))
-        u = _defining_u(u_mode, p, mv.value)
-        rows.append((p.x, p.y, p.z, omega, omega / u**2 if u > 0 else math.inf))
-    return rows, sum(not mv.converged for mv in values)
-
-
-def _defining_u(mode: str, p: H3Point, f_value: float) -> float:
-    if mode == "height":
-        return p.z
-    if mode == "sqrt_f":
-        return math.sqrt(max(f_value * (1.0 - f_value), 0.0))
-    raise ValueError("u_mode must be 'height' or 'sqrt_f'")
+    record = measure_many(domain, pts, quad, gradient=True)
+    omega = SQRT2 * _hyperbolic_norms(pts, record.gradients)
+    if u_mode == "height":
+        u = pts[:, 2]
+    else:
+        f = record.values
+        u = np.sqrt(np.maximum(f * (1.0 - f), 0.0))
+    # u^2 rounded as Python's u**2 (libm pow); u * u differs in the last bit
+    # on about 0.1% of rows
+    weighted = np.divide(omega, np.float_power(u, 2), out=np.full_like(omega, math.inf),
+                         where=u > 0.0)
+    return np.column_stack([pts, omega, weighted]), record
 
 
 def zero_locus_report(domain: PlanarDomain, grid: GridSpec,
@@ -289,11 +290,11 @@ def zero_locus_report(domain: PlanarDomain, grid: GridSpec,
     if threshold is None:
         threshold = 10.0 * quad.tolerance
     shape = tuple(len(axis) for axis in grid.axes())
-    rows, nonconverged = form_norm_grid(domain, grid, quad, u_mode)
-    flat_hits = [i for i, row in enumerate(rows) if row[4] < threshold]
-    samples = tuple(FormSample(H3Point(*rows[i][:3]), rows[i][3],
-                               rows[i][3] / SQRT2)
-                    for i in flat_hits)
+    table, record = form_norm_grid(domain, grid, quad, u_mode)
+    nonconverged = int((~record.converged).sum())
+    flat_hits = np.flatnonzero(table[:, 4] < threshold).tolist()
+    samples = tuple(FormSample(H3Point(x, y, z), omega, omega / SQRT2)
+                    for x, y, z, omega, _ in table[flat_hits].tolist())
 
     # cluster grid-adjacent hits (6-neighborhood in index space)
     idx_of = {i: n for n, i in enumerate(flat_hits)}

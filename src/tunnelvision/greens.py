@@ -259,10 +259,10 @@ def quantization_sum(domain: PlanarDomain, config: PointConfiguration,
         errors = list(config.f_errors or (0.0,) * len(values))
         converged = all(config.f_converged or ())
     else:
-        mvs = measure_many(domain, config.points, config_q)
-        values = [mv.value for mv in mvs]
-        errors = [mv.error for mv in mvs]
-        converged = all(mv.converged for mv in mvs)
+        record = measure_many(domain, config.points, config_q)
+        values = record.values.tolist()
+        errors = record.errors.tolist()
+        converged = bool(record.converged.all())
     total = math.fsum(values)
     ell = round(total)
     quantizable = abs(total - ell) < tol and 0 < ell < len(config.points)
@@ -300,10 +300,12 @@ def _solve_levels(pieces, feet, targets, config):
     bracket of width ``config.tolerance`` pins the level to within that
     tolerance.
     """
+    xy = np.array([(foot.real, foot.imag) for foot in feet])
+    goal = np.asarray(targets, dtype=float)
+
     def levels(lines, zs):
-        pts = [H3Point(feet[j].real, feet[j].imag, z) for j, z in zip(lines, zs)]
-        return [mv.value - targets[j]
-                for j, mv in zip(lines, measure_many(pieces, pts, config))]
+        pts = np.column_stack([xy[lines], zs])
+        return (measure_many(pieces, pts, config).values - goal[lines]).tolist()
 
     # widen both ends of every line's bracket until g > 0 at z_lo, g < 0 at z_hi
     k = len(feet)
@@ -371,8 +373,8 @@ def find_quantizable(domain: PlanarDomain, k: int, ell: int,
     feet = _interior_feet(domain, k)
     points = tuple(H3Point(foot.real, foot.imag, z) for foot, z in
                    zip(feet, _solve_levels(pieces, feet, targets, tight)))
-    mvs = measure_many(pieces, points, tight)
+    record = measure_many(pieces, points, tight)
     return PointConfiguration(points=points,
-                              f_values=tuple(mv.value for mv in mvs),
-                              f_errors=tuple(mv.error for mv in mvs),
-                              f_converged=tuple(mv.converged for mv in mvs))
+                              f_values=tuple(record.values.tolist()),
+                              f_errors=tuple(record.errors.tolist()),
+                              f_converged=tuple(record.converged.tolist()))

@@ -291,20 +291,27 @@ _AMBIGUOUS = 1e-3
 def _near_pairs(keys: np.ndarray, radius: float) -> np.ndarray:
     """Index pairs (i, j), i < j, of complex keys at most ``radius`` apart.
 
-    A sort and sweep over the real part (Shamos & Hoey, 1976): with the keys
-    sorted by real part, position i is compared with i + k for k = 1, 2, ...
-    while the real-part gap stays within the radius.  That gap is the real
-    part of the difference whose modulus is tested, and it grows with k, so
-    no pair within the radius is skipped and the set of active positions
-    only shrinks.  Returns an (m, 2) integer array in no particular order.
+    A sort and sweep (Shamos & Hoey, 1976) along the real or the imaginary
+    part, whichever spreads wider: with the keys sorted by that coordinate,
+    position i is compared with i + k for k = 1, 2, ... while the
+    coordinate's gap stays within the radius.  That gap is one component of
+    the difference whose modulus is tested, and it grows with k, so no pair
+    within the radius is skipped and the set of active positions only
+    shrinks.  The number of passes is the most keys in one radius-wide
+    window of the coordinate, so keys on a vertical line are swept along
+    the imaginary part.  Returns an (m, 2) integer array in no particular
+    order.
     """
-    order = np.argsort(keys.real)
-    z = keys[order]
+    coord = keys.real
+    if len(keys) and np.ptp(keys.imag) > np.ptp(keys.real):
+        coord = keys.imag
+    order = np.argsort(coord)
+    z, c = keys[order], coord[order]
     found = []
     active = np.arange(len(keys) - 1)
     k = 1
     while len(active):
-        active = active[z.real[active + k] - z.real[active] <= radius]
+        active = active[c[active + k] - c[active] <= radius]
         near = active[np.abs(z[active + k] - z[active]) <= radius]
         found.append(np.column_stack([order[near], order[near + k]]))
         k += 1

@@ -24,7 +24,13 @@ integrals are elementary; an unbounded region adds the angle of its
 directions at infinity over 2 pi to f.  :func:`measure_many` evaluates the
 sum for many points at once, as one array over points x pieces; the terms of
 each point are added exactly (``math.fsum``), so a point's result does not
-depend on the points evaluated with it.
+depend on the points evaluated with it.  It takes the points as an (n, 3)
+array of (x, y, z) rows or as a sequence of ``H3Point``, and returns one
+:class:`MeasureValues` record: read-only arrays of values, error bounds and
+convergence flags, plus the (n, 3) gradients and their error bounds when
+asked.  Callers work on those arrays; ``record[i]`` is the
+:class:`MeasureValue` of point i, which :func:`harmonic_measure` and
+:func:`measure_with_gradient` return for one point.
 
 Every evaluation takes a domain or its prepared ``BoundaryPieces``; a domain
 has its arrangement built on entry.  Building it costs about as much as
@@ -59,6 +65,8 @@ The adaptive Gauss-Kronrod integral over angle of the polar decomposition
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +78,7 @@ from .quadrature import adaptive_integrate
 __all__ = [
     "QuadratureConfig",
     "MeasureValue",
+    "MeasureValues",
     "QuadratureError",
     "poisson_kernel",
     "kernel_mass",
@@ -220,46 +229,102 @@ def _fsum_rows(terms):
     return np.array([math.fsum(row) for row in terms.tolist()])
 
 
+def _frozen(values) -> np.ndarray:
+    arr = np.asarray(values).view()
+    arr.flags.writeable = False
+    return arr
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class MeasureValues(Sequence):
+    """Measure evaluations at many points as one array record.
+
+    ``values``, ``errors`` and ``converged`` have one entry per point, in
+    the order the points were given.  With a gradient, ``gradients`` (n, 3)
+    holds (df/dx, df/dy, df/dz) and ``gradient_errors`` (n, 3) their error
+    bounds; without one both are None.  The arrays are read-only.
+
+    As a sequence of :class:`MeasureValue` it supports ``len``, int and
+    negative indexing and iteration; ``record[i]`` is the value
+    :func:`harmonic_measure` gives at point i alone.
+    """
+
+    values: np.ndarray
+    errors: np.ndarray
+    converged: np.ndarray
+    gradients: np.ndarray | None = None
+    gradient_errors: np.ndarray | None = None
+
+    def __post_init__(self):
+        for name in ("values", "errors", "converged", "gradients", "gradient_errors"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _frozen(getattr(self, name)))
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, i):
+        i = range(len(self))[operator.index(i)]
+        return MeasureValue(float(self.values[i]), float(self.errors[i]),
+                            bool(self.converged[i]))
+
+
+def _coordinates(points) -> np.ndarray:
+    """Points as an (n, 3) float array; rejects non-finite or non-positive z."""
+    if not isinstance(points, np.ndarray):
+        points = [(p.x, p.y, p.z) for p in points]
+    xyz = np.asarray(points, dtype=float).reshape(-1, 3)
+    if not (np.isfinite(xyz).all() and (xyz[:, 2] > 0.0).all()):
+        raise ValueError("points need finite coordinates and positive height")
+    return xyz
+
+
 def measure_many(domain: PlanarDomain | BoundaryPieces, points,
                  config: QuadratureConfig = QuadratureConfig(),
-                 gradient: bool = False):
+                 gradient: bool = False) -> MeasureValues:
     """Harmonic measure of ``domain`` at every point of ``points``.
 
-    ``domain`` is a domain tree or its prepared
-    :func:`~tunnelvision.domains.boundary_pieces`, which are evaluated as
-    given; the result is bit-identical either way.  Callers that evaluate
-    one region many times build the pieces once and pass them.
+    ``points`` is an (n, 3) array of (x, y, z) rows or a sequence of
+    :class:`H3Point`; both give the same bits.  ``domain`` is a domain tree
+    or its prepared :func:`~tunnelvision.domains.boundary_pieces`, which are
+    evaluated as given; the result is bit-identical either way.  Callers
+    that evaluate one region many times build the pieces once and pass them.
 
-    Returns a list of MeasureValue, one per point, in order.  With
-    ``gradient=True`` returns ``(values, gradients (n, 3), gradient errors
-    (n, 3))``; the gradient is the boundary sum of the differentiated
-    kernel, not a finite difference.  Each point's result is the same as
-    when it is evaluated alone.
+    Returns a :class:`MeasureValues` record, one row per point, in order.
+    With ``gradient=True`` it also holds the gradients and their error
+    bounds; the gradient is the boundary sum of the differentiated kernel,
+    not a finite difference.  Each point's result is the same as when it is
+    evaluated alone.
     """
-    points = list(points)
-    w = np.array([p.foot for p in points], dtype=complex)[:, None]
-    z = np.array([p.z for p in points], dtype=float)[:, None]
+    xyz = _coordinates(points)
+    n = len(xyz)
+    w = np.empty(n, dtype=complex)
+    w.real, w.imag = xyz[:, 0], xyz[:, 1]
+    w = w[:, None]
+    z = np.ascontiguousarray(xyz[:, 2])[:, None]
     pc = boundary_pieces(domain)
     terms, gxy, gz, gxy_size, gz_size, mass = (
         np.concatenate(parts, axis=1)
         for parts in zip(_segment_terms(pc, w, z), _arc_terms(pc, w, z)))
-    terms = np.concatenate([terms, np.full((len(points), 1), pc.at_infinity)], axis=1)
+    terms = np.concatenate([terms, np.full((n, 1), pc.at_infinity)], axis=1)
     mass = mass.sum(axis=1)
     scale = np.abs(w[:, 0]) + pc.extent
     err = (_ROUND * np.abs(terms).sum(axis=1) / _TWO_PI
            + _ROUND * scale * mass)
-    values = [MeasureValue(value=min(max(v, 0.0), 1.0), error=e,
-                           converged=bool(e <= config.tolerance))
-              for v, e in zip((_fsum_rows(terms) / _TWO_PI).tolist(), err.tolist())]
+    # clipped to [0, 1] as min(max(v, 0), 1) does: -0.0 and NaN pass as they are
+    values = _fsum_rows(terms) / _TWO_PI
+    values = np.where(values < 0.0, 0.0, values)
+    values = np.where(values > 1.0, 1.0, values)
     if not gradient:
-        return values
+        return MeasureValues(values, err, err <= config.tolerance)
 
     grads = np.stack([_fsum_rows(gxy.real), _fsum_rows(gxy.imag), _fsum_rows(gz)],
                      axis=1)
     shift = _ROUND * scale * 4.0 * mass / z[:, 0]  # |grad P| <= 4 P / z
     xy_err = _ROUND * gxy_size.sum(axis=1) + shift
     z_err = _ROUND * gz_size.sum(axis=1) + shift
-    return values, grads, np.stack([xy_err, xy_err, z_err], axis=1)
+    return MeasureValues(values, err, err <= config.tolerance, grads,
+                         np.stack([xy_err, xy_err, z_err], axis=1))
 
 
 def harmonic_measure(domain: PlanarDomain | BoundaryPieces, p: H3Point,
@@ -280,8 +345,8 @@ def measure_with_gradient(domain: PlanarDomain | BoundaryPieces, p: H3Point,
     gradient is (df/dx, df/dy, df/dz) and the hyperbolic gradient norm is
     ``z * norm(gradient)``.
     """
-    values, grads, errs = measure_many(domain, [p], config, gradient=True)
-    return values[0], grads[0], errs[0]
+    record = measure_many(domain, [p], config, gradient=True)
+    return record[0], record.gradients[0], record.gradient_errors[0]
 
 
 # -- reference quadrature ---------------------------------------------------------

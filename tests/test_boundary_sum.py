@@ -191,12 +191,9 @@ def test_gradient_matches_central_differences(domain):
 def _assert_same_evaluation(domain, points):
     pc = boundary_pieces(domain)
     assert boundary_pieces(pc) is pc
-    vals, grads, gerrs = measure_many(domain, points, gradient=True)
-    vals_pc, grads_pc, gerrs_pc = measure_many(pc, points, gradient=True)
-    assert [(v.value, v.error, v.converged) for v in vals_pc] == \
-        [(v.value, v.error, v.converged) for v in vals]
-    assert grads_pc.tobytes() == grads.tobytes()
-    assert gerrs_pc.tobytes() == gerrs.tobytes()
+    got, want = (measure_many(d, points, gradient=True) for d in (pc, domain))
+    for name in ("values", "errors", "converged", "gradients", "gradient_errors"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 def test_prepared_pieces_evaluate_bit_identically_on_the_dogbone(dogbone01):

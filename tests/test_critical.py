@@ -384,3 +384,33 @@ def test_grid_spec_validation():
     with pytest.raises(ValueError, match="positive"):
         GridSpec(z=(-1.0, 1.0, 3))
     assert len(GridSpec.for_domain(d, 2).points()) == 8
+
+
+def test_grid_points_follow_the_nested_loop_order():
+    grid = GridSpec(x=(-0.7, 0.4, 3), y=(-0.2, 0.9, 4), z=(0.05, 3.0, 5))
+    xs, ys, zs = grid.axes()
+    loop = [(float(x), float(y), float(z)) for x in xs for y in ys for z in zs]
+    pts = grid.points()
+    assert pts.shape == (len(loop), 3)
+    assert [tuple(row) for row in pts.tolist()] == loop
+
+
+# Recorded while each Newton candidate took two evaluation calls (numpy 2.4,
+# x86-64): location, f, f's error, hyperbolic gradient norm, Hessian determinant.
+REFINED_BITS = (["0x1.13efbb4408000p-29", "-0x1.46ec63ff40000p-31",
+                 "0x1.e6329bbd31647p-1"], "0x1.0a6108e8426e5p-5",
+                "0x1.1270a45d439e0p-48", "0x1.217983ba78e19p-32",
+                "0x1.3d5aaa779c1a3p-11")
+
+
+def test_refinement_evaluates_each_candidate_with_its_stencil(measure_calls,
+                                                              dogbone01):
+    # the start point and two accepted candidates, each with its six-point
+    # Hessian stencil in the same call
+    rep = refine_critical_point_3d(dogbone01, H3Point(0.01, -0.02, 0.95), 1e-6)
+    assert measure_calls[0] == 3
+    loc = rep.location
+    assert ([float(v).hex() for v in (loc.x, loc.y, loc.z)],
+            rep.f_value.hex(), rep.f_error.hex(),
+            float(rep.grad_norm_hyperbolic).hex(),
+            rep.hessian_det.hex()) == REFINED_BITS

@@ -10,7 +10,7 @@ from tunnelvision.forms import (FormSample, form_norm_grid,
                                 sd_form_norm, selfdual_algebra_check,
                                 zero_locus_report)
 from tunnelvision.hyperbolic import H3Point
-from tunnelvision.measure import QuadratureConfig
+from tunnelvision.measure import QuadratureConfig, measure_with_gradient
 
 CFG = QuadratureConfig(tolerance=1e-9)
 SQRT2 = math.sqrt(2.0)
@@ -195,10 +195,37 @@ def test_zero_locus_near_boundary_excluded_by_weighting(dogbone01):
 
 def test_form_norm_grid_rows(dogbone01):
     grid = GridSpec(x=(-0.2, 0.2, 3), y=(-0.2, 0.2, 3), z=(0.1, 2.0, 4))
-    rows, nonconverged = form_norm_grid(dogbone01, grid, QuadratureConfig(),
-                                        u_mode="sqrt_f")
-    assert nonconverged == 0
-    assert len(rows) == 3 * 3 * 4
-    for x, y, z, omega, weighted in rows:
+    table, record = form_norm_grid(dogbone01, grid, QuadratureConfig(),
+                                   u_mode="sqrt_f")
+    assert record.converged.all()
+    assert table.shape == (3 * 3 * 4, 5)
+    for x, y, z, omega, weighted in table.tolist():
         assert omega >= 0.0
         assert weighted >= omega  # f(1-f) < 1 always
+
+
+@pytest.mark.parametrize("u_mode, n", [("height", 4), ("sqrt_f", 10)])
+def test_form_norm_grid_matches_a_per_point_loop(dogbone01, u_mode, n):
+    # the rows as computed one point at a time, bit for bit; on these grids
+    # u * u differs from Python's u**2 in the last bit on 16 and 2 rows
+    grid = GridSpec.for_domain(dogbone01, n)
+    table, record = form_norm_grid(dogbone01, grid, QuadratureConfig(), u_mode)
+    xs, ys, zs = grid.axes()
+    rows = []
+    for x in xs:
+        for y in ys:
+            for z in zs:
+                p = H3Point(float(x), float(y), float(z))
+                mv, g, _ = measure_with_gradient(dogbone01, p, QuadratureConfig())
+                omega = SQRT2 * (p.z * float(np.linalg.norm(g)))
+                u = (p.z if u_mode == "height"
+                     else math.sqrt(max(mv.value * (1.0 - mv.value), 0.0)))
+                rows.append([p.x, p.y, p.z, omega,
+                             omega / u**2 if u > 0 else math.inf])
+    assert table.tolist() == rows
+    assert len(record) == len(rows)
+
+
+def test_form_norm_grid_rejects_unknown_weighting(dogbone01):
+    with pytest.raises(ValueError, match="u_mode"):
+        form_norm_grid(dogbone01, GridSpec.for_domain(dogbone01, 2), u_mode="area")

@@ -368,6 +368,20 @@ def test_near_pairs_match_brute_force():
         assert _near_pairs(keys[:count], radius).shape == (0, 2)
 
 
+@pytest.mark.parametrize("direction", [1j, 1.0, np.exp(1.2j)],
+                         ids=["vertical", "horizontal", "oblique"])
+def test_near_pairs_on_a_line_match_brute_force(direction):
+    # keys on a vertical line tie in their real parts; the sweep runs along
+    # the imaginary part there and finds the same pairs
+    rng = np.random.default_rng(7)
+    keys = direction * (0.01 * np.arange(1500) + rng.uniform(0.0, 1e-3, 1500))
+    keys = rng.permutation(np.concatenate([keys, keys[:40] + 1e-9]))
+    pairs = _near_pairs(keys, 0.05)
+    found = set(map(tuple, pairs.tolist()))
+    assert len(found) == len(pairs)
+    assert found == _brute_force_pairs(keys, 0.05)
+
+
 @pytest.mark.parametrize("zeta", [0j, 0.1 + 0.2j, -0.5 + 0.3j])
 def test_orbit_cloud_matches_apply_boundary(genus2_elements, zeta):
     pts = orbit_cloud(genus2_elements, DiskPoint(zeta))

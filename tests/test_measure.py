@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 from tunnelvision.domains import Difference, Disk, HalfPlane, Union, dogbone
@@ -138,16 +139,69 @@ def test_batched_matches_one_point_calls():
     flags = set()
     for domain, cfg, batch in itertools.product(
             domains, (QuadratureConfig(), cramped), (pts[:2], pts)):
-        values, grads, errs = measure_many(domain, batch, cfg, gradient=True)
-        assert measure_many(domain, batch, cfg) == [
+        record = measure_many(domain, batch, cfg, gradient=True)
+        assert list(measure_many(domain, batch, cfg)) == [
             harmonic_measure(domain, p, cfg) for p in batch]
-        for p, mv, g, e in zip(batch, values, grads, errs):
+        for p, mv, g, e in zip(batch, record, record.gradients, record.gradient_errors):
             mv1, g1, e1 = measure_with_gradient(domain, p, cfg)
             assert mv == mv1
             assert np.array_equal(g, g1) and np.array_equal(e, e1)
             flags.add(mv.converged)
     assert flags == {True, False}
-    assert measure_many(domains[0], [], CFG) == []
+    assert list(measure_many(domains[0], [], CFG)) == []
+
+
+_RECORD_FIELDS = ("values", "errors", "converged", "gradients", "gradient_errors")
+
+
+def test_array_and_point_list_give_identical_records(dogbone01):
+    xyz = np.array([[0.0, 0.0, 1.0], [0.3, -0.2, 0.05], [-0.0, 0.0, 0.2],
+                    [-1.0, 0.1, 0.05], [2.0, -1.0, 3.0]])
+    pts = [H3Point(*row) for row in xyz.tolist()]
+    for gradient in (False, True):
+        from_array = measure_many(dogbone01, xyz, CFG, gradient=gradient)
+        from_points = measure_many(dogbone01, pts, CFG, gradient=gradient)
+        for name in _RECORD_FIELDS:
+            a, b = getattr(from_array, name), getattr(from_points, name)
+            if a is None:
+                assert b is None and name.startswith("gradient") and not gradient
+                continue
+            assert a.tobytes() == b.tobytes(), name
+            assert not a.flags.writeable
+
+
+def test_record_rejects_points_off_the_half_space(dogbone01):
+    for bad in ([[0.1, 0.2, 0.0]], [[0.1, 0.2, -1.0]], [[np.nan, 0.0, 1.0]],
+                [[0.0, np.inf, 1.0]]):
+        with pytest.raises(ValueError):
+            measure_many(dogbone01, np.array(bad))
+
+
+_xyz = st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5),
+                 st.floats(-3.0, 1.0).map(lambda e: 10.0**e))
+
+
+@given(st.lists(_xyz, max_size=6), st.sampled_from([1e-7, 1e-18]),
+       st.booleans())
+def test_record_rows_match_one_point_calls(dogbone01, rows, tolerance, as_array):
+    # tolerance 1e-18 makes every row non-converged; an empty batch is allowed
+    cfg = QuadratureConfig(tolerance=tolerance)
+    pts = [H3Point(*row) for row in rows]
+    record = measure_many(dogbone01, np.array(rows).reshape(-1, 3) if as_array else pts,
+                          cfg, gradient=True)
+    assert len(record) == len(pts)
+    assert record.gradients.shape == record.gradient_errors.shape == (len(pts), 3)
+    for i, p in enumerate(pts):
+        mv, g, e = measure_with_gradient(dogbone01, p, cfg)
+        assert record[i] == mv == harmonic_measure(dogbone01, p, cfg)
+        assert record[i - len(pts)] == mv
+        assert record.gradients[i].tobytes() == g.tobytes()
+        assert record.gradient_errors[i].tobytes() == e.tobytes()
+        assert mv.converged == (mv.error <= tolerance)
+    assert list(record) == [record[i] for i in range(len(pts))]
+    for i in (len(pts), -len(pts) - 1):
+        with pytest.raises(IndexError):
+            record[i]
 
 
 def test_monotonicity_nested(rng):
