@@ -298,6 +298,8 @@ def measure_many(domain: PlanarDomain | BoundaryPieces, points,
     """
     xyz = _coordinates(points)
     n = len(xyz)
+    # the foot by assignment (x + 1j*y would turn -0.0 into +0.0) and the
+    # heights as a contiguous column, as lists of H3Point gave them
     w = np.empty(n, dtype=complex)
     w.real, w.imag = xyz[:, 0], xyz[:, 1]
     w = w[:, None]
