@@ -6,17 +6,31 @@ distance between the projected deepest-shell orbit of 0 and a dense circle
 sampling.  The distance decays with depth; cocompact shell growth (factor
 about 4g - 1 minus relator coincidences) is visible in the counts.
 
+Needs scipy (the ``dev`` extra) for its KD-trees; the package itself does not.
+
 Usage: python scripts/limit_set_study.py [--genus 2] [--max-depth 6]
+           [--out limit_set_study.csv]
 """
 
 import argparse
 import sys
 
 import numpy as np
+from scipy.spatial import cKDTree
 
-from tunnelvision.domains import hausdorff_distance
 from tunnelvision.groups import limit_set_sample
 from tunnelvision.runio import write_csv
+
+
+def hausdorff_distance(a, b) -> float:
+    """Hausdorff distance between two nonempty complex point clouds.
+
+    Symmetric; the max of the two directed sup-inf distances, via KD-trees.
+    """
+    pa, pb = (np.column_stack([c.real, c.imag]) for c in map(np.ravel, (a, b)))
+    if not (len(pa) and len(pb)):
+        raise ValueError("empty point cloud")
+    return float(max(cKDTree(pb).query(pa)[0].max(), cKDTree(pa).query(pb)[0].max()))
 
 
 def main():

@@ -14,13 +14,12 @@ from .runio import __version__
 from .hyperbolic import (H3Point, DiskPoint, MobiusMap, INFINITY, h3_distance,
                          disk_distance, disk_to_h3, laplace_beltrami)
 from .domains import (PlanarDomain, Disk, HalfPlane, SimplePolygon, Union,
-                      Intersection, Difference, DogboneSpec, dogbone,
-                      reflection_symmetric, hausdorff_distance,
-                      boundary_points, boundary_pieces, domain_from_obj)
-from .measure import (QuadratureConfig, MeasureValue, MeasureValues, QuadratureError,
-                      poisson_kernel, kernel_mass, harmonic_measure,
-                      measure_many, measure_with_gradient,
-                      halfplane_closed_form, disk_closed_form)
+                      Intersection, Difference, dogbone, reflection_symmetric,
+                      boundary_pieces, domain_from_obj)
+from .measure import (QuadratureConfig, MeasureValue, MeasureValues,
+                      poisson_kernel, harmonic_measure, measure_many,
+                      measure_with_gradient, halfplane_closed_form,
+                      disk_closed_form)
 from .critical import (AxisProfile, CriticalPointReport, Verdict, GridSpec,
                        RefinementError, axis_profile, axis_critical_points,
                        dogbone_experiment, DogboneReport,

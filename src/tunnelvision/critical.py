@@ -27,7 +27,7 @@ import numpy as np
 from .domains import (BoundaryPieces, PlanarDomain, boundary_pieces, dogbone,
                       reflection_symmetric)
 from .hyperbolic import H3Point
-from .measure import MeasureValue, QuadratureConfig, measure_many
+from .measure import MeasureValue, MeasureValues, QuadratureConfig, measure_many
 
 __all__ = [
     "AxisProfile",
@@ -42,10 +42,6 @@ __all__ = [
     "refine_critical_point_3d",
     "almost_kahler_verdict",
 ]
-
-_SYMMETRY_SAMPLES = 4096
-_SYMMETRY_SEED = 20210405
-
 
 class RefinementError(RuntimeError):
     """Newton refinement diverged or left its search box."""
@@ -194,14 +190,6 @@ def axis_profile(domain: PlanarDomain | BoundaryPieces, z_min: float,
                        converged=record.converged)
 
 
-def _require_axis_symmetric(domain: PlanarDomain):
-    if not math.isfinite(domain.bounding_radius):
-        raise ValueError("axis search requires a bounded domain")
-    if not reflection_symmetric(domain, _SYMMETRY_SAMPLES, _SYMMETRY_SEED):
-        raise ValueError("axis extrema are critical points only for domains "
-                         "invariant under zeta -> -zeta; symmetry check failed")
-
-
 def _bracketed_roots(g, brackets, xtol):
     """Zeros of ``g`` in every bracket by Illinois false position, in lockstep.
 
@@ -260,11 +248,21 @@ def _hessian_from(h, grads):
     return 0.5 * (H + H.T)
 
 
-def _with_hessian(pieces, p, config):
-    """Value, gradient and coordinate Hessian at p (x, y, z), from one evaluation."""
-    h, stencil = _hessian_stencil(p)
-    record = measure_many(pieces, np.vstack([p, stencil]), config, gradient=True)
-    return record[0], record.gradients[0], _hessian_from(h, record.gradients[1:])
+def _with_hessians(pieces, points, config):
+    """Measures, gradients and coordinate Hessians at k points (k, 3), in one evaluation.
+
+    Each point is evaluated together with its Hessian stencil, 7 rows per
+    point.  Returns the k points' :class:`MeasureValues` record, with
+    gradients, and their Hessians (k, 3, 3).
+    """
+    steps, stencils = zip(*map(_hessian_stencil, points))
+    record = measure_many(pieces, np.concatenate(
+        [np.vstack([p, st]) for p, st in zip(points, stencils)]), config, gradient=True)
+    grads = record.gradients.reshape(-1, 7, 3)
+    centres = MeasureValues(record.values[0::7], record.errors[0::7],
+                            record.converged[0::7], grads[:, 0],
+                            record.gradient_errors[0::7])
+    return centres, np.stack([_hessian_from(h, g[1:]) for h, g in zip(steps, grads)])
 
 
 def axis_critical_points(profile: AxisProfile, domain: PlanarDomain,
@@ -290,7 +288,11 @@ def axis_critical_points(profile: AxisProfile, domain: PlanarDomain,
     otherwise axis extrema would not be critical points of the 3-space
     function and the call is rejected.
     """
-    _require_axis_symmetric(domain)
+    if not math.isfinite(domain.bounding_radius):
+        raise ValueError("axis search requires a bounded domain")
+    if not reflection_symmetric(domain):
+        raise ValueError("axis extrema are critical points only for domains "
+                         "invariant under zeta -> -zeta; symmetry check failed")
     return _axis_extrema(profile, boundary_pieces(domain), refine_tol, config)
 
 
@@ -326,23 +328,20 @@ def _axis_extrema(profile, pieces, refine_tol, config):
     tolerance = np.where(solvable, refine_tol,
                          np.maximum(z[i + 1] - z[i], z[i + 2] - z[i + 1]))
 
-    # every report's value and gradient, then its Hessian stencil: 7 points each
+    # every report's value, gradient and Hessian, in one evaluation
     at = _axis_points(z_star)
-    steps, stencils = zip(*map(_hessian_stencil, at))
-    record = measure_many(pieces, np.concatenate(
-        [np.vstack([p, st]) for p, st in zip(at, stencils)]), config, gradient=True)
-    grads = record.gradients.reshape(-1, 7, 3)
-    norms = _hyperbolic_norms(at, grads[:, 0])
+    centres, hessians = _with_hessians(pieces, at, config)
+    norms = _hyperbolic_norms(at, centres.gradients)
     return [CriticalPointReport(
                 location=H3Point(0.0, 0.0, z_star[n]),
-                f_value=float(record.values[7 * n]),
-                f_error=float(record.errors[7 * n]),
+                f_value=float(centres.values[n]),
+                f_error=float(centres.errors[n]),
                 grad_norm_hyperbolic=float(norms[n]),
                 classification="axis-max" if is_max[n] else "axis-min",
-                hessian_det=float(np.linalg.det(_hessian_from(h, grads[n, 1:]))),
+                hessian_det=float(np.linalg.det(hessians[n])),
                 tolerance=float(tolerance[n]),
                 conclusive=bool(conclusive[n]))
-            for n, h in enumerate(steps)]
+            for n in range(len(at))]
 
 
 @dataclass(frozen=True)
@@ -383,8 +382,6 @@ def dogbone_experiment(epsilon: float,
     did not converge.  Returns a DogboneReport together with the axis
     profile used for the search.  ``threads`` is accepted and has no effect.
     """
-    if not 0.0 < epsilon < 0.5:
-        raise ValueError(f"epsilon must lie in (0, 1/2), got {epsilon}")
     domain = dogbone(epsilon)
     pieces = boundary_pieces(domain)
     f_eps, f_one = measure_many(pieces, _axis_points([epsilon, 1.0]), config)
@@ -423,9 +420,13 @@ def refine_critical_point_3d(domain: PlanarDomain, p0: H3Point, tol: float,
     z_lo, z_hi = p0.z / 64.0, p0.z * 64.0
     pieces = boundary_pieces(domain)
 
-    # each candidate is evaluated with its Hessian stencil, in one call
+    def evaluate(point):
+        """Measure, gradient and Hessian at point (x, y, z), in one call."""
+        centres, hessians = _with_hessians(pieces, [point], config)
+        return centres[0], centres.gradients[0], hessians[0]
+
     p = p0
-    mv, grad, H = _with_hessian(pieces, p.as_array(), config)
+    mv, grad, H = evaluate(p.as_array())
     norm = p.z * float(np.linalg.norm(grad))
     for _ in range(max_steps):
         if norm < tol:
@@ -446,7 +447,7 @@ def refine_critical_point_3d(domain: PlanarDomain, p0: H3Point, tol: float,
                     or not z_lo < cand[2] < z_hi):
                 raise RefinementError(f"left the search box at {cand}")
             q = H3Point(*cand)
-            mv2, grad2, H2 = _with_hessian(pieces, cand, config)
+            mv2, grad2, H2 = evaluate(cand)
             norm2 = q.z * float(np.linalg.norm(grad2))
             if norm2 < norm * (1.0 - 0.25 * lam) or norm2 < tol:
                 p, mv, grad, H, norm = q, mv2, grad2, H2, norm2
@@ -483,7 +484,7 @@ def almost_kahler_verdict(domain: PlanarDomain, search: GridSpec | None = None,
 
     reports = []
     nonconverged = 0
-    symmetric = reflection_symmetric(domain, _SYMMETRY_SAMPLES, _SYMMETRY_SEED)
+    symmetric = reflection_symmetric(domain)
     if symmetric:
         zs = search.axes()[2]
         profile = axis_profile(pieces, zs[0], zs[-1], 200, config)

@@ -9,8 +9,10 @@ through integrals.
 Beyond membership, a tree's boundary is laid out by :func:`boundary_pieces`
 as oriented segments and circular arcs, the input of the measure's boundary
 sum.  Every domain also intersects rays with its primitive boundaries (for
-the reference quadrature over angle), rescales itself, and samples its
-boundary for Hausdorff comparisons.
+the reference quadrature over angle) and rescales itself.
+:func:`dogbone` builds the paper's example region, and
+:func:`reflection_symmetric` tests a region for the half-turn symmetry that
+the axis search of :mod:`~tunnelvision.critical` needs.
 
 The JSON wire format is a tagged-union tree, e.g.::
 
@@ -35,11 +37,8 @@ __all__ = [
     "Union",
     "Intersection",
     "Difference",
-    "DogboneSpec",
     "dogbone",
     "reflection_symmetric",
-    "hausdorff_distance",
-    "boundary_points",
     "BoundaryPieces",
     "boundary_pieces",
     "domain_from_obj",
@@ -350,83 +349,44 @@ class Difference(_Node):
         return {"op": "difference", "args": [a.to_obj() for a in self.args]}
 
 
-@dataclass(frozen=True)
-class DogboneSpec:
-    """Parameters of the dogbone region: two small disks joined by a corridor.
-
-    The region is Disk(1, 1/4) u Disk(-1, 1/4) u { |zeta| < 1, |Im zeta| < eps^3 },
-    invariant under zeta -> -zeta.  The corridor is kept verbatim as the
-    intersection of the unit disk with a horizontal strip, not simplified to
-    a rectangle.
-    """
-
-    epsilon: float
-
-    def __post_init__(self):
-        if not 0.0 < self.epsilon < 0.5:
-            raise ValueError(f"epsilon must lie in (0, 1/2), got {self.epsilon}")
-
-    @property
-    def corridor_half_height(self) -> float:
-        return self.epsilon**3
-
-    def build(self) -> PlanarDomain:
-        h = self.corridor_half_height
-        corridor = Intersection(
-            Disk(0.0, 1.0),
-            HalfPlane(1j, -h),    # Im zeta > -h
-            HalfPlane(-1j, -h),   # Im zeta <  h
-        )
-        return Union(Disk(1.0 + 0j, 0.25), Disk(-1.0 + 0j, 0.25), corridor)
-
-
 def dogbone(epsilon: float) -> PlanarDomain:
-    """The dogbone domain with corridor half-height ``epsilon**3``."""
-    return DogboneSpec(epsilon).build()
+    """The dogbone region: two small disks joined by a corridor.
+
+    The region is Disk(1, 1/4) u Disk(-1, 1/4) u { |zeta| < 1, |Im zeta| < eps^3 }
+    for eps in (0, 1/2), invariant under zeta -> -zeta.  The corridor is kept
+    verbatim as the intersection of the unit disk with a horizontal strip,
+    not simplified to a rectangle.
+    """
+    if not 0.0 < epsilon < 0.5:
+        raise ValueError(f"epsilon must lie in (0, 1/2), got {epsilon}")
+    h = epsilon**3
+    corridor = Intersection(
+        Disk(0.0, 1.0),
+        HalfPlane(1j, -h),    # Im zeta > -h
+        HalfPlane(-1j, -h),   # Im zeta <  h
+    )
+    return Union(Disk(1.0 + 0j, 0.25), Disk(-1.0 + 0j, 0.25), corridor)
 
 
-def reflection_symmetric(domain: PlanarDomain, samples: int, seed: int) -> bool:
+# the sample size and seed of every symmetry test
+_SYMMETRY_SAMPLES = 4096
+_SYMMETRY_SEED = 20210405
+
+
+def reflection_symmetric(domain: PlanarDomain) -> bool:
     """Monte Carlo test of invariance under ``zeta -> -zeta``.
 
-    Deterministic given ``seed``; samples are drawn uniformly from the
+    Deterministic: 4096 samples from a fixed seed, drawn uniformly from the
     bounding disk (a window of radius 10 if the domain is unbounded).
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_SYMMETRY_SEED)
     radius = domain.bounding_radius
     if not math.isfinite(radius):
         radius = 10.0
-    r = radius * np.sqrt(rng.uniform(0.0, 1.0, samples))
-    phi = rng.uniform(0.0, 2.0 * math.pi, samples)
+    r = radius * np.sqrt(rng.uniform(0.0, 1.0, _SYMMETRY_SAMPLES))
+    phi = rng.uniform(0.0, 2.0 * math.pi, _SYMMETRY_SAMPLES)
     z = r * np.exp(1j * phi)
     return bool(np.all(domain.contains(z) == domain.contains(-z)))
-
-
-def _as_points(cloud) -> np.ndarray:
-    arr = np.asarray(cloud)
-    if arr.size == 0:
-        raise ValueError("empty point cloud")
-    if np.iscomplexobj(arr):
-        return np.column_stack([arr.real.ravel(), arr.imag.ravel()])
-    arr = np.atleast_2d(arr).astype(float)
-    if arr.shape[1] != 2:
-        raise ValueError("point cloud must be complex or of shape (n, 2)")
-    return arr
-
-
-def hausdorff_distance(a, b) -> float:
-    """Hausdorff distance between two nonempty point clouds.
-
-    Clouds are complex arrays or (n, 2) real arrays.  Symmetric; the max of
-    the two directed sup-inf distances, via KD-trees.
-    """
-    from scipy.spatial import cKDTree  # here, not at module level: slow to import
-
-    pa, pb = _as_points(a), _as_points(b)
-    d_ab = cKDTree(pb).query(pa)[0].max()
-    d_ba = cKDTree(pa).query(pb)[0].max()
-    return float(max(d_ab, d_ba))
 
 
 # -- boundary arrangement -------------------------------------------------------
@@ -648,37 +608,6 @@ def boundary_pieces(domain: PlanarDomain | BoundaryPieces) -> BoundaryPieces:
     )
     return replace(pieces, extent=max(scale, float(np.abs(pieces.corners()).max(
         initial=0.0))))
-
-
-def boundary_points(domain: PlanarDomain, per_primitive: int = 1024,
-                    window: float | None = None) -> np.ndarray:
-    """Sample the topological boundary of a domain tree.
-
-    Samples the pieces of :func:`boundary_pieces` at uniform parameter
-    density: ``per_primitive`` points per full turn of a circle and per
-    ``2 * window`` length of line, with lines clipped to ``|s| <= window``
-    about their anchor (``window`` defaults to twice the bounding radius,
-    or 10 for an unbounded domain).
-    """
-    if window is None:
-        r = domain.bounding_radius
-        window = 2.0 * r if math.isfinite(r) else 10.0
-    pc = boundary_pieces(domain)
-    keep = []
-    for c, r, start, sweep in zip(pc.arc_center, pc.arc_radius,
-                                  pc.arc_start, pc.arc_sweep):
-        n = max(2, round(per_primitive * abs(sweep) / (2.0 * math.pi)))
-        keep.append(c + r * np.exp(1j * (start + np.linspace(0.0, sweep, n,
-                                                              endpoint=False))))
-    for p, u, lo, hi in zip(pc.seg_anchor, pc.seg_dir, pc.seg_lo, pc.seg_hi):
-        lo, hi = max(lo, -window), min(hi, window)
-        if lo < hi:
-            n = max(2, round(per_primitive * (hi - lo) / (2.0 * window)))
-            keep.append(p + np.linspace(lo, hi, n, endpoint=False) * u)
-    out = np.concatenate(keep) if keep else np.array([], dtype=complex)
-    if out.size == 0:
-        raise ValueError("no boundary points survived clipping")
-    return out
 
 
 # -- JSON wire format ----------------------------------------------------------

@@ -78,11 +78,12 @@ class PointConfiguration:
             for j in range(i + 1, len(pts)):
                 if h3_distance(pts[i], pts[j]) <= 0.0:
                     raise ValueError("configuration points must be distinct")
+        for name in ("f_values", "f_errors", "f_converged"):
+            if getattr(self, name) is not None and len(getattr(self, name)) != len(pts):
+                raise ValueError(f"{name} needs one entry per point")
         if self.f_values is not None:
             vals = tuple(float(v) for v in self.f_values)
             object.__setattr__(self, "f_values", vals)
-            if len(vals) != len(pts):
-                raise ValueError("one measure value per point required")
             if any(not 0.0 < v < 1.0 for v in vals):
                 raise ValueError("measure values must lie strictly in (0, 1)")
         if self.group is not None:

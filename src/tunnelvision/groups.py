@@ -56,6 +56,7 @@ __all__ = [
     "min_genus",
     "side_pairing_generators",
     "polygon_contains",
+    "surface_relator",
     "enumerate_group",
     "orbit_cloud",
     "limit_set_sample",

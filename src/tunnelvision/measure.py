@@ -60,6 +60,8 @@ heights next to a corner the gradient error can exceed it).
 
 The adaptive Gauss-Kronrod integral over angle of the polar decomposition
 (:func:`ray_quadrature`) is kept as an independent reference for tests.
+The kernel's unit mass needs no integral of its own: a region and its
+complement in the plane have measures summing to 1.
 """
 
 from __future__ import annotations
@@ -79,9 +81,7 @@ __all__ = [
     "QuadratureConfig",
     "MeasureValue",
     "MeasureValues",
-    "QuadratureError",
     "poisson_kernel",
-    "kernel_mass",
     "harmonic_measure",
     "measure_many",
     "measure_with_gradient",
@@ -92,14 +92,6 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 _ROUND = 8.0 * 2.0**-53  # eight unit roundoffs
-
-
-class QuadratureError(RuntimeError):
-    """Raised when a requested tolerance could not be certified."""
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
 
 
 @dataclass(frozen=True)
@@ -408,27 +400,3 @@ def ray_quadrature(domain: PlanarDomain, p: H3Point,
     res = adaptive_integrate(_RayIntegrand(domain, p), 0.0, _TWO_PI, tolerance, bps)
     return MeasureValue(value=min(max(float(res.value[0]), 0.0), 1.0),
                         error=float(res.error[0]), converged=res.converged)
-
-
-def kernel_mass(p: H3Point, config: QuadratureConfig = QuadratureConfig()) -> float:
-    """Total kernel mass over the plane; approximately 1.
-
-    Integrates the radial closed form out to ``max(z, 1)`` through the
-    adaptive angular quadrature and adds the exact analytic tail of the
-    kernel beyond that radius.  Raises QuadratureError if the angular
-    tolerance was not certified.
-    """
-    rho_far = max(p.z, 1.0)
-    z2 = p.z**2
-    body = rho_far**2 / (rho_far**2 + z2)
-
-    def f(phis):
-        return np.full((len(phis), 1), body / _TWO_PI)
-
-    res = adaptive_integrate(f, 0.0, _TWO_PI, config.tolerance)
-    tail = z2 / (rho_far**2 + z2)
-    total = res.value[0] + tail
-    if not res.converged:
-        raise QuadratureError("kernel mass quadrature did not converge",
-                              best=total)
-    return float(total)

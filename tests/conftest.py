@@ -1,3 +1,5 @@
+import importlib.util
+import os
 import sys
 
 import hypothesis
@@ -13,6 +15,27 @@ hypothesis.settings.register_profile(
     "default", max_examples=50, deadline=None,
     suppress_health_check=[hypothesis.HealthCheck.too_slow])
 hypothesis.settings.load_profile("default")
+
+
+SCRIPTS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
+
+
+@pytest.fixture(scope="session")
+def load_script():
+    """Import a file of ``scripts/`` as a module: ``load_script("form_norm_grid")``."""
+    def load(name):
+        spec = importlib.util.spec_from_file_location(
+            name, os.path.join(SCRIPTS, f"{name}.py"))
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+    return load
+
+
+@pytest.fixture(scope="session")
+def hausdorff_distance(load_script):
+    """The Hausdorff distance of ``scripts/limit_set_study.py``, its only home."""
+    return load_script("limit_set_study").hausdorff_distance
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -148,13 +149,28 @@ def test_profile_nonconverged_exit(dogbone_json, tmp_path):
     assert (tmp_path / "profile.csv").exists()
 
 
-def test_cli_import_loads_no_scipy():
-    code = ("import sys, tunnelvision.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+def test_cli_import_loads_no_scipy(tmp_path):
+    # scipy made unimportable: the package runs on numpy alone
+    code = f"""
+import sys
+sys.modules["scipy"] = None
+import tunnelvision.cli
+from tunnelvision.critical import dogbone_experiment
+from tunnelvision.groups import enumerate_group, limit_set_sample, side_pairing_generators
+dogbone_experiment(0.3, n_samples=16)
+enumerate_group(side_pairing_generators(2), 2)
+limit_set_sample(2, 2)
+assert tunnelvision.cli.main(["polygon", "--genus", "2", "--out-dir", {str(tmp_path)!r}]) == 0
+print(sorted(m for m, mod in sys.modules.items()
+             if m.split('.')[0] == 'scipy' and mod is not None))
+"""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert out.strip().splitlines()[-1] == "[]"
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")) as fh:
+        deps = re.search(r"^dependencies = \[(.*?)\]", fh.read(), re.M | re.S).group(1)
+    assert re.findall(r'"([A-Za-z0-9_.-]+?)[<>=~!\s"]', deps) == ["numpy"]
 
 
 def test_removed_flags_are_rejected(disk_json, tmp_path):

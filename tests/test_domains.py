@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
-from tunnelvision.domains import (Difference, Disk, DogboneSpec, HalfPlane,
-                                  Intersection, SimplePolygon, Union,
-                                  boundary_points, dogbone, domain_from_obj,
-                                  hausdorff_distance, reflection_symmetric)
+from tunnelvision.domains import (Difference, Disk, HalfPlane, Intersection,
+                                  SimplePolygon, Union, boundary_pieces,
+                                  dogbone, domain_from_obj,
+                                  reflection_symmetric)
 
 
 def test_contains_basics(dogbone01):
@@ -61,10 +61,13 @@ def test_dogbone_area_monte_carlo(dogbone01, rng):
 
 def test_dogbone_spec_validation():
     with pytest.raises(ValueError):
-        DogboneSpec(0.0)
+        dogbone(0.0)
     with pytest.raises(ValueError):
-        DogboneSpec(0.5)
-    assert DogboneSpec(0.2).corridor_half_height == pytest.approx(0.008)
+        dogbone(0.5)
+    # the corridor's half-planes are Im zeta > -eps^3 and Im zeta < eps^3
+    below, above = dogbone(0.2).args[2].args[1:]
+    assert below.normal == 1j and below.offset == pytest.approx(-0.008)
+    assert above.normal == -1j and above.offset == pytest.approx(-0.008)
 
 
 def test_dogbone_monotone_in_eps(rng):
@@ -76,27 +79,25 @@ def test_dogbone_monotone_in_eps(rng):
 
 
 def test_reflection_symmetric():
-    assert reflection_symmetric(Disk(0, 1.0), 4096, seed=1)
-    assert reflection_symmetric(dogbone(0.05), 4096, seed=1)
-    assert not reflection_symmetric(Disk(1.0, 0.25), 4096, seed=1)
-    with pytest.raises(ValueError):
-        reflection_symmetric(Disk(0, 1.0), 0, seed=1)
+    assert reflection_symmetric(Disk(0, 1.0))
+    assert reflection_symmetric(dogbone(0.05))
+    assert not reflection_symmetric(Disk(1.0, 0.25))
 
 
-def test_hausdorff_basic(rng):
+def test_hausdorff_basic(hausdorff_distance, rng):
     cloud = rng.normal(size=50) + 1j * rng.normal(size=50)
     assert hausdorff_distance(cloud, cloud) == 0.0
     assert hausdorff_distance(np.array([0j]), np.array([3 + 4j])) == 5.0
 
 
-def test_hausdorff_concentric_circles():
+def test_hausdorff_concentric_circles(hausdorff_distance):
     t = np.linspace(0, 2 * np.pi, 10_000, endpoint=False)
     c1 = np.exp(1j * t)
     c2 = 1.1 * np.exp(1j * t)
     assert hausdorff_distance(c1, c2) == pytest.approx(0.1, abs=1e-5)
 
 
-def test_hausdorff_empty_rejected():
+def test_hausdorff_empty_rejected(hausdorff_distance):
     with pytest.raises(ValueError):
         hausdorff_distance(np.array([]), np.array([1j]))
 
@@ -107,7 +108,7 @@ clouds = st.lists(st.complex_numbers(max_magnitude=10, allow_nan=False,
 
 
 @given(clouds, clouds, clouds)
-def test_hausdorff_triangle_inequality(a, b, c):
+def test_hausdorff_triangle_inequality(hausdorff_distance, a, b, c):
     dab = hausdorff_distance(a, b)
     dbc = hausdorff_distance(b, c)
     dac = hausdorff_distance(a, c)
@@ -199,21 +200,15 @@ def test_domain_json_schema(dogbone01):
         jsonschema.validate({"op": "xor", "args": []}, schema)
 
 
-def test_boundary_points_on_circle():
-    pts = boundary_points(Disk(0, 1.0), per_primitive=512)
-    assert len(pts) == 512
-    assert np.allclose(np.abs(pts), 1.0, atol=1e-12)
-
-
 def test_boundary_points_clipped(dogbone01):
-    pts = boundary_points(dogbone01, per_primitive=2048)
-    # every surviving sample flips membership across the local normal
-    assert len(pts) > 1000
-    # corridor-interior portions of the small circles are clipped away:
-    # the arc of Disk(1, 1/4) inside the corridor is not domain boundary
-    on_right_circle = np.abs(np.abs(pts - 1.0) - 0.25) < 1e-9
-    corridor_interior = (np.abs(pts.imag) < 0.5 * 1e-3) & (np.abs(pts) < 1)
-    assert not np.any(on_right_circle & corridor_interior)
+    pc = boundary_pieces(dogbone01)
+    assert len(pc.arc_center) > 0
+    # corridor-interior portions of the small circles are clipped away: the
+    # arcs of Disk(+-1, 1/4) inside the corridor are not domain boundary, so
+    # no kept arc passes through |Im zeta| < eps^3, |zeta| < 1
+    t = np.linspace(0.0, 1.0, 1002)[1:-1, None]
+    pts = pc.arc_center + pc.arc_radius * np.exp(1j * (pc.arc_start + t * pc.arc_sweep))
+    assert not np.any((np.abs(pts.imag) < 1e-3) & (np.abs(pts) < 1.0))
 
 
 def test_bounding_radii(dogbone01):

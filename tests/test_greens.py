@@ -181,6 +181,16 @@ def test_configuration_validation():
         PointConfiguration(points=(H3Point(0, 0, 1),), f_values=(1.5,))
 
 
+def test_configuration_rejects_short_flags():
+    pts = (H3Point(0, 0, 1), H3Point(1, 0, 1))
+    for field in ("f_errors", "f_converged", "f_values"):
+        with pytest.raises(ValueError, match=field):
+            PointConfiguration(points=pts, **{"f_values": (0.5, 0.5), field: (0.5,)})
+    full = PointConfiguration(points=pts, f_values=(0.5, 0.5), f_errors=(1e-9, 1e-9),
+                              f_converged=(True, True))
+    assert quantization_sum(Disk(0, 1.0), full, CFG).f_errors == (1e-9, 1e-9)
+
+
 def test_quantization_k1_never():
     config = PointConfiguration(points=(H3Point(0, 0, 1),), f_values=(0.5,))
     res = quantization_sum(Disk(0, 1.0), config, CFG)

@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from tunnelvision.domains import hausdorff_distance
 from tunnelvision.groups import (DedupCollisionError, GroupElement,
                                  GroupElements, _near_pairs, _shells,
                                  enumerate_group, limit_set_sample, min_genus,
@@ -200,7 +199,7 @@ def test_orbit_cloud(genus2_generators, genus2_elements):
     assert np.all(np.abs(pts) < 1.0)
 
 
-def test_limit_set_approaches_circle():
+def test_limit_set_approaches_circle(hausdorff_distance):
     circle = np.exp(2j * np.pi * np.linspace(0, 1, 20000, endpoint=False))
     dists = []
     for depth in (4, 5, 6):

@@ -10,9 +10,8 @@ from tunnelvision.domains import Difference, Disk, HalfPlane, Union, dogbone
 from tunnelvision.hyperbolic import H3Point, laplace_beltrami
 from tunnelvision.measure import (MeasureValue, QuadratureConfig,
                                   disk_closed_form, halfplane_closed_form,
-                                  harmonic_measure, kernel_mass,
-                                  measure_many, measure_with_gradient,
-                                  poisson_kernel)
+                                  harmonic_measure, measure_many,
+                                  measure_with_gradient, poisson_kernel)
 
 CFG = QuadratureConfig(tolerance=1e-9)
 
@@ -36,11 +35,6 @@ def test_kernel_dilation_scaling():
 def test_kernel_bound(rng):
     z = rng.uniform(-50, 50, 10_000) + 1j * rng.uniform(-50, 50, 10_000)
     assert np.all(poisson_kernel(H3Point(0, 0, 1), z) <= 1.0)
-
-
-def test_kernel_mass_near_one():
-    for p in (H3Point(0, 0, 1), H3Point(0, 0, 100), H3Point(5, -3, 0.2)):
-        assert kernel_mass(p, CFG) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_config_validation():
@@ -107,14 +101,6 @@ def test_measure_value_invariants(dogbone01):
     plane = Union(HalfPlane(1j, 0.0), HalfPlane(-1j, 0.0))
     rest = harmonic_measure(Difference(plane, dogbone01), p, CFG)
     assert abs(mv.value + rest.value - 1.0) <= mv.error + rest.error
-
-
-def test_kernel_mass_certifies_tight_tolerance():
-    # the angular density of the full-plane mass is constant, so the
-    # closed-form radial scheme certifies a tolerance near roundoff; the
-    # flagged-error branch guards integrands that are not radially exact
-    tight = QuadratureConfig(tolerance=1e-14)
-    assert kernel_mass(H3Point(0, 0, 1), tight) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_nonconvergence_is_flagged(dogbone01):

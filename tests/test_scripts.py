@@ -1,26 +1,14 @@
 import csv
-import importlib.util
 import json
-import os
 
 import numpy as np
 
-SCRIPTS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
 
-
-def _load(name):
-    spec = importlib.util.spec_from_file_location(
-        name, os.path.join(SCRIPTS, f"{name}.py"))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_form_norm_grid_script_writes_the_table(tmp_path, capsys):
+def test_form_norm_grid_script_writes_the_table(load_script, tmp_path, capsys):
     domain = tmp_path / "dogbone.json"
     domain.write_text(json.dumps({"dogbone": {"eps": 0.1}}))
     out = tmp_path / "grid.csv"
-    script = _load("form_norm_grid")
+    script = load_script("form_norm_grid")
     assert script.main(["--domain", str(domain), "--out", str(out), "--n", "2"]) == 0
     with open(out, newline="") as fh:
         header, *rows = list(csv.reader(fh))
