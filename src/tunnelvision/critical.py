@@ -51,7 +51,7 @@ class RefinementError(RuntimeError):
 class AxisProfile:
     """Samples of the measure along the vertical axis (0, 0, z).
 
-    ``converged`` flags the samples whose quadrature certified its tolerance.
+    ``converged`` flags the samples whose error bound is within the tolerance.
     """
 
     z: np.ndarray
@@ -235,37 +235,34 @@ def _bracketed_roots(g, brackets, xtol):
             state[n] = (a, c, ga, gc, tol)
 
 
-def _hessian_stencil(p):
-    """The step h and the six points p +- h e_k, (6, 3), of the Hessian at p (x, y, z)."""
-    h = max(1e-4, 2e-3 * float(p[2]))
-    steps = h * np.eye(3)
-    return h, p + np.stack([steps, -steps], axis=1).reshape(6, 3)
-
-
-def _hessian_from(h, grads):
-    """Coordinate Hessian by central differences of the stencil's six gradients."""
-    H = ((grads[0::2] - grads[1::2]) / (2.0 * h)).T
-    return 0.5 * (H + H.T)
+# a point and its Hessian stencil, in steps of h: the centre, then +-e_x, +-e_y, +-e_z
+_STENCIL = np.array([[0, 0, 0], [1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0],
+                     [0, 0, 1], [0, 0, -1]], dtype=float)
 
 
 def _with_hessians(pieces, points, config):
     """Measures, gradients and coordinate Hessians at k points (k, 3), in one evaluation.
 
     Each point is evaluated together with its Hessian stencil, 7 rows per
-    point.  Returns the k points' :class:`MeasureValues` record, with
-    gradients, and their Hessians (k, 3, 3).
+    point, with step h = max(1e-4, 2e-3 z); the Hessian is the symmetrized
+    central difference of the stencil's gradients.  Returns the k points'
+    :class:`MeasureValues` record, with gradients, and their Hessians
+    (k, 3, 3).
     """
-    steps, stencils = zip(*map(_hessian_stencil, points))
-    record = measure_many(pieces, np.concatenate(
-        [np.vstack([p, st]) for p, st in zip(points, stencils)]), config, gradient=True)
+    points = np.asarray(points, dtype=float)
+    h = np.maximum(1e-4, 2e-3 * points[:, 2])[:, None, None]
+    record = measure_many(pieces, (points[:, None, :] + h * _STENCIL).reshape(-1, 3),
+                          config, gradient=True)
     grads = record.gradients.reshape(-1, 7, 3)
     centres = MeasureValues(record.values[0::7], record.errors[0::7],
                             record.converged[0::7], grads[:, 0],
                             record.gradient_errors[0::7])
-    return centres, np.stack([_hessian_from(h, g[1:]) for h, g in zip(steps, grads)])
+    # row k of the difference is the gradient's derivative along e_k
+    H = (grads[:, 1::2] - grads[:, 2::2]) / (2.0 * h)
+    return centres, 0.5 * (H + H.transpose(0, 2, 1))
 
 
-def axis_critical_points(profile: AxisProfile, domain: PlanarDomain,
+def axis_critical_points(profile: AxisProfile, domain: PlanarDomain | BoundaryPieces,
                          refine_tol: float = 1e-6,
                          config: QuadratureConfig = QuadratureConfig()):
     """Locate and classify interior extrema of the axis profile.
@@ -284,20 +281,18 @@ def axis_critical_points(profile: AxisProfile, domain: PlanarDomain,
     and their slopes have the expected opposite signs beyond their error
     bars, which proves a zero of df/dz inside the bracket.
 
-    The domain must be bounded and pass the reflection-symmetry check;
+    A domain must be bounded and pass the reflection-symmetry check;
     otherwise axis extrema would not be critical points of the 3-space
-    function and the call is rejected.
+    function and the call is rejected.  Prepared ``BoundaryPieces`` are
+    taken unchecked, as the arrangement of a region the caller has checked.
     """
-    if not math.isfinite(domain.bounding_radius):
-        raise ValueError("axis search requires a bounded domain")
-    if not reflection_symmetric(domain):
-        raise ValueError("axis extrema are critical points only for domains "
-                         "invariant under zeta -> -zeta; symmetry check failed")
-    return _axis_extrema(profile, boundary_pieces(domain), refine_tol, config)
-
-
-def _axis_extrema(profile, pieces, refine_tol, config):
-    """:func:`axis_critical_points` on prepared pieces, symmetry already checked."""
+    if not isinstance(domain, BoundaryPieces):
+        if not math.isfinite(domain.bounding_radius):
+            raise ValueError("axis search requires a bounded domain")
+        if not reflection_symmetric(domain):
+            raise ValueError("axis extrema are critical points only for domains "
+                             "invariant under zeta -> -zeta; symmetry check failed")
+    pieces = boundary_pieces(domain)
     z = profile.z
     df = np.diff(profile.f)
     # brackets z[i] .. z[i+2], where the discrete derivative changes sign
@@ -382,15 +377,15 @@ def dogbone_experiment(epsilon: float,
     did not converge.  Returns a DogboneReport together with the axis
     profile used for the search.  ``threads`` is accepted and has no effect.
     """
-    domain = dogbone(epsilon)
-    pieces = boundary_pieces(domain)
+    # symmetric by construction, so the axis search takes the pieces unchecked
+    pieces = boundary_pieces(dogbone(epsilon))
     f_eps, f_one = measure_many(pieces, _axis_points([epsilon, 1.0]), config)
     separated = (f_eps.value + f_eps.error < f_one.value - f_one.error
                  or f_one.value + f_one.error < f_eps.value - f_eps.error)
     holds = f_eps.value + f_eps.error < f_one.value - f_one.error
     window = (epsilon**2, 10.0)
     profile = axis_profile(pieces, window[0], window[1], n_samples, config)
-    cps = axis_critical_points(profile, domain, refine_tol, config)
+    cps = axis_critical_points(profile, pieces, refine_tol, config)
     report = DogboneReport(
         epsilon=epsilon,
         f_at_eps=f_eps,
@@ -421,13 +416,14 @@ def refine_critical_point_3d(domain: PlanarDomain, p0: H3Point, tol: float,
     pieces = boundary_pieces(domain)
 
     def evaluate(point):
-        """Measure, gradient and Hessian at point (x, y, z), in one call."""
-        centres, hessians = _with_hessians(pieces, [point], config)
-        return centres[0], centres.gradients[0], hessians[0]
+        """Measure, gradient, Hessian and z |grad f| at point (x, y, z), in one call."""
+        at = point[None]
+        centres, hessians = _with_hessians(pieces, at, config)
+        norm = float(_hyperbolic_norms(at, centres.gradients)[0])
+        return centres[0], centres.gradients[0], hessians[0], norm
 
     p = p0
-    mv, grad, H = evaluate(p.as_array())
-    norm = p.z * float(np.linalg.norm(grad))
+    mv, grad, H, norm = evaluate(p.as_array())
     for _ in range(max_steps):
         if norm < tol:
             return CriticalPointReport(
@@ -447,8 +443,7 @@ def refine_critical_point_3d(domain: PlanarDomain, p0: H3Point, tol: float,
                     or not z_lo < cand[2] < z_hi):
                 raise RefinementError(f"left the search box at {cand}")
             q = H3Point(*cand)
-            mv2, grad2, H2 = evaluate(cand)
-            norm2 = q.z * float(np.linalg.norm(grad2))
+            mv2, grad2, H2, norm2 = evaluate(cand)
             if norm2 < norm * (1.0 - 0.25 * lam) or norm2 < tol:
                 p, mv, grad, H, norm = q, mv2, grad2, H2, norm2
                 improved = True
@@ -489,7 +484,7 @@ def almost_kahler_verdict(domain: PlanarDomain, search: GridSpec | None = None,
         zs = search.axes()[2]
         profile = axis_profile(pieces, zs[0], zs[-1], 200, config)
         nonconverged += int((~profile.converged).sum())
-        reports.extend(_axis_extrema(profile, pieces, 1e-6, config))
+        reports.extend(axis_critical_points(profile, pieces, 1e-6, config))
 
     pts = search.points()
     scan = measure_many(pieces, pts, config, gradient=True)

@@ -82,17 +82,6 @@ class PlanarDomain:
             out.extend(p.kink_angles(origin))
         return out
 
-    # conveniences
-
-    def union(self, other):
-        return Union(self, other)
-
-    def intersection(self, other):
-        return Intersection(self, other)
-
-    def difference(self, other):
-        return Difference(self, other)
-
 
 @dataclass(frozen=True)
 class Disk(PlanarDomain):

@@ -82,8 +82,8 @@ def sd_form_norm(domain: PlanarDomain, p: H3Point,
     z |grad f|.
     """
     _, grad, _ = measure_with_gradient(domain, p, quad)
-    psi = p.z * float(np.linalg.norm(grad))
-    return FormSample.from_psi_norm(p, psi)
+    psi = _hyperbolic_norms(p.as_array()[None], grad[None])[0]
+    return FormSample.from_psi_norm(p, float(psi))
 
 
 # -- algebraic self-duality --------------------------------------------------------
@@ -273,6 +273,31 @@ def form_norm_grid(domain: PlanarDomain | BoundaryPieces, grid: GridSpec,
     return np.column_stack([pts, omega, weighted]), record
 
 
+def _clusters(hits):
+    """Grid-adjacent clusters of a boolean hit mask (nx, ny, nz), 6-neighbourhood.
+
+    Returns tuples of hit numbers, counted in ``np.flatnonzero(hits)`` order:
+    each cluster sorted, the clusters ordered by their first hit.  Every hit
+    starts labelled with its flat index and takes the least label among its
+    hit neighbours until no label changes, so a cluster's label is its
+    least flat index.
+    """
+    no_hit, flat = hits.size, np.flatnonzero(hits)
+    b = np.full(np.add(hits.shape, 2), no_hit)
+    label = b[1:-1, 1:-1, 1:-1]  # a view of b, whose border stays no_hit
+    label[hits] = flat
+    while True:
+        least = np.where(hits, np.minimum.reduce([
+            label, b[2:, 1:-1, 1:-1], b[:-2, 1:-1, 1:-1], b[1:-1, 2:, 1:-1],
+            b[1:-1, :-2, 1:-1], b[1:-1, 1:-1, 2:], b[1:-1, 1:-1, :-2]]), no_hit)
+        if np.array_equal(least, label):
+            break
+        label[...] = least
+    label = label[hits]
+    return tuple(tuple(np.flatnonzero(label == first).tolist())
+                 for first in flat[label == flat])
+
+
 def zero_locus_report(domain: PlanarDomain, grid: GridSpec,
                       quad: QuadratureConfig = QuadratureConfig(),
                       threshold: float | None = None, u_mode: str = "height",
@@ -292,37 +317,10 @@ def zero_locus_report(domain: PlanarDomain, grid: GridSpec,
     shape = tuple(len(axis) for axis in grid.axes())
     table, record = form_norm_grid(domain, grid, quad, u_mode)
     nonconverged = int((~record.converged).sum())
-    flat_hits = np.flatnonzero(table[:, 4] < threshold).tolist()
+    hits = table[:, 4] < threshold
     samples = tuple(FormSample(H3Point(x, y, z), omega, omega / SQRT2)
-                    for x, y, z, omega, _ in table[flat_hits].tolist())
-
-    # cluster grid-adjacent hits (6-neighborhood in index space)
-    idx_of = {i: n for n, i in enumerate(flat_hits)}
-    def coords(i):
-        x, rem = divmod(i, shape[1] * shape[2])
-        y, z = divmod(rem, shape[2])
-        return x, y, z
-    clusters = []
-    unseen = set(flat_hits)
-    while unseen:
-        seed = min(unseen)
-        stack, comp = [seed], []
-        unseen.discard(seed)
-        while stack:
-            cur = stack.pop()
-            comp.append(idx_of[cur])
-            cx, cy, cz = coords(cur)
-            for dx, dy, dz in ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
-                               (0, 0, 1), (0, 0, -1)):
-                nx, ny, nz = cx + dx, cy + dy, cz + dz
-                if not (0 <= nx < shape[0] and 0 <= ny < shape[1]
-                        and 0 <= nz < shape[2]):
-                    continue
-                cand = (nx * shape[1] + ny) * shape[2] + nz
-                if cand in unseen:
-                    unseen.discard(cand)
-                    stack.append(cand)
-        clusters.append(tuple(sorted(comp)))
+                    for x, y, z, omega, _ in table[hits].tolist())
+    clusters = _clusters(hits.reshape(shape))
 
     refined = []
     refined_ok = []

@@ -252,8 +252,8 @@ def quantization_sum(domain: PlanarDomain, config: PointConfiguration,
 
     Quantizable means the sum is within ``tol`` of an integer ell with
     0 < ell < k.  A single point can never be quantizable: its value lies
-    strictly between 0 and 1.  ``converged`` is False when a value's
-    quadrature did not certify its tolerance (unflagged cached values pass).
+    strictly between 0 and 1.  ``converged`` is False when a value's error
+    bound exceeds its tolerance (unflagged cached values pass).
     """
     if config.f_values is not None:
         values = list(config.f_values)

@@ -3,8 +3,8 @@
 All floating-point output is written with 17 significant digits so files
 round-trip exactly.  CSV files use comma separators, '.' decimal points and
 LF line endings.  Everything runs in the calling thread: multi-point work is
-batched inside the measure quadrature instead of spread over a pool, so
-outputs are byte-identical from run to run.
+one array evaluation of the measure's boundary sum instead of spread over a
+pool, so outputs are byte-identical from run to run.
 """
 
 from __future__ import annotations

@@ -103,3 +103,12 @@ def measure_calls(monkeypatch):
     count once per call, since they call ``measure_many`` themselves.
     """
     return _count_calls(monkeypatch, measure.measure_many)
+
+
+@pytest.fixture
+def symmetry_tests(monkeypatch):
+    """Count the ``reflection_symmetric`` tests, in every module that imports it.
+
+    Returns a one-element list holding the count.
+    """
+    return _count_calls(monkeypatch, domains.reflection_symmetric)

@@ -45,6 +45,11 @@ def test_traced_workload_calls(tracer):
     assert {"measure.integrand", "quadrature.adaptive_integrate"} <= names
     assert {"critical.dogbone_experiment", "critical.almost_kahler_verdict",
             "forms.zero_locus_report"} <= names
+    # the verdict's axis search goes through the traced public function
+    verdicts = {span[0] for span in tracer.spans
+                if span[2] == "critical.almost_kahler_verdict"}
+    assert any(span[2] == "critical.axis_critical_points" and span[1] in verdicts
+               for span in tracer.spans)
 
 
 def test_pmap_is_an_ordered_map():

@@ -10,7 +10,7 @@ from tunnelvision.critical import (AxisProfile, GridSpec, RefinementError,
                                    _bracketed_roots, almost_kahler_verdict,
                                    axis_critical_points, axis_profile,
                                    dogbone_experiment, refine_critical_point_3d)
-from tunnelvision.domains import Disk, HalfPlane, Union, dogbone
+from tunnelvision.domains import Disk, HalfPlane, Union, boundary_pieces, dogbone
 from tunnelvision.hyperbolic import H3Point
 from tunnelvision.measure import (QuadratureConfig, harmonic_measure,
                                   measure_with_gradient)
@@ -314,6 +314,27 @@ def test_dogbone_experiment_builds_its_arrangement_at_most_twice(arrangement_bui
     assert arrangement_builds[0] <= 2
 
 
+def test_verdict_builds_once_and_tests_symmetry_once(arrangement_builds,
+                                                     symmetry_tests, dogbone01):
+    # at the default tolerance no grid point is refined, and the axis search
+    # runs on the verdict's pieces after its own symmetry test
+    verdict = almost_kahler_verdict(dogbone01, GridSpec.for_domain(dogbone01, 6))
+    assert {r.classification for r in verdict.reports} == {"axis-min", "axis-max"}
+    assert arrangement_builds[0] == 1
+    assert symmetry_tests[0] == 1
+
+
+def test_axis_search_on_pieces_matches_the_domain(dogbone01, symmetry_tests):
+    prof = axis_profile(dogbone01, 0.01, 10.0, 60, CFG)
+    from_domain = axis_critical_points(prof, dogbone01, 1e-6, CFG)
+    assert symmetry_tests[0] == 1
+    from_pieces = axis_critical_points(prof, boundary_pieces(dogbone01), 1e-6, CFG)
+    # prepared pieces are the caller's checked arrangement: no second test
+    assert symmetry_tests[0] == 1
+    assert len(from_domain) == 2
+    assert [r.to_obj() for r in from_pieces] == [r.to_obj() for r in from_domain]
+
+
 def test_refinement_builds_its_arrangement_once(arrangement_builds, dogbone01):
     refine_critical_point_3d(dogbone01, H3Point(0.01, -0.02, 0.95), 1e-6)
     assert arrangement_builds[0] == 1
@@ -358,12 +379,16 @@ def test_dogbone_reports_keep_their_bits(tol):
                for c in report.critical_points)
 
 
-def test_dogbone_experiment_evaluation_calls(measure_calls, arrangement_builds):
+def test_dogbone_experiment_evaluation_calls(measure_calls, arrangement_builds,
+                                            symmetry_tests):
     # f(eps) and f(1), the profile, the bracket ends, one call per solver
     # round of both brackets together, and one for both reports
     dogbone_experiment(0.1)
-    assert measure_calls[0] <= 9
-    assert arrangement_builds[0] <= 2
+    assert measure_calls[0] == 9
+    # dogbone(eps) is symmetric by construction: the axis search takes the
+    # experiment's own pieces
+    assert arrangement_builds[0] == 1
+    assert symmetry_tests[0] == 0
 
 
 def test_monotone_profile_makes_no_empty_evaluation(measure_calls):

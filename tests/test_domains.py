@@ -80,7 +80,9 @@ def test_dogbone_monotone_in_eps(rng):
 
 def test_reflection_symmetric():
     assert reflection_symmetric(Disk(0, 1.0))
-    assert reflection_symmetric(dogbone(0.05))
+    # dogbone_experiment relies on this without testing it
+    for eps in (0.01, 0.05, 0.1, 0.2274, 0.3, 0.49):
+        assert reflection_symmetric(dogbone(eps)), eps
     assert not reflection_symmetric(Disk(1.0, 0.25))
 
 

@@ -1,11 +1,12 @@
 import math
+from collections import deque
 
 import numpy as np
 import pytest
 
 from tunnelvision.critical import GridSpec
 from tunnelvision.domains import Disk, HalfPlane
-from tunnelvision.forms import (FormSample, form_norm_grid,
+from tunnelvision.forms import (FormSample, form_norm_grid, _clusters,
                                 _hodge_star_matrix, boundary_expansion_check,
                                 sd_form_norm, selfdual_algebra_check,
                                 zero_locus_report)
@@ -229,3 +230,60 @@ def test_form_norm_grid_matches_a_per_point_loop(dogbone01, u_mode, n):
 def test_form_norm_grid_rejects_unknown_weighting(dogbone01):
     with pytest.raises(ValueError, match="u_mode"):
         form_norm_grid(dogbone01, GridSpec.for_domain(dogbone01, 2), u_mode="area")
+
+
+# -- clusters of grid hits -----------------------------------------------------------
+
+def _bfs_clusters(hits):
+    """Clusters of a boolean mask by breadth-first search over the 6-neighbourhood."""
+    number = {cell: n for n, cell in enumerate(map(tuple, np.argwhere(hits).tolist()))}
+    seen, clusters = set(), []
+    for seed in number:  # in flat-index order
+        if seed in seen:
+            continue
+        seen.add(seed)
+        queue, members = deque([seed]), []
+        while queue:
+            cell = queue.popleft()
+            members.append(number[cell])
+            for axis in range(3):
+                for step in (-1, 1):
+                    nb = list(cell)
+                    nb[axis] += step
+                    nb = tuple(nb)
+                    if nb in number and nb not in seen:
+                        seen.add(nb)
+                        queue.append(nb)
+        clusters.append(tuple(sorted(members)))
+    return tuple(clusters)
+
+
+def _single_cell():
+    hits = np.zeros((3, 4, 5), bool)
+    hits[1, 2, 3] = True
+    return hits
+
+
+def _diagonal():
+    hits = np.zeros((2, 2, 2), bool)
+    hits[[0, 1], [0, 1], [0, 1]] = True  # no two cells share a face
+    return hits
+
+
+@pytest.mark.parametrize("hits", [
+    np.zeros((3, 4, 5), bool), np.ones((3, 4, 5), bool), _single_cell(),
+    np.ones((2, 2, 2), bool), _diagonal(), np.ones((2, 6, 2), bool)],
+    ids=["empty", "full", "single", "full-2x2x2", "diagonal", "full-2x6x2"])
+def test_clusters_of_edge_masks(hits):
+    assert _clusters(hits) == _bfs_clusters(hits)
+
+
+def test_clusters_match_breadth_first_search():
+    rng = np.random.default_rng(20240611)
+    for shape in [(2, 2, 2), (2, 5, 3), (4, 2, 6), (3, 3, 2), (6, 7, 8)]:
+        for density in (0.1, 0.3, 0.5, 0.7):
+            for _ in range(8):
+                hits = rng.random(shape) < density
+                clusters = _clusters(hits)
+                assert clusters == _bfs_clusters(hits)
+                assert all(type(n) is int for c in clusters for n in c)
