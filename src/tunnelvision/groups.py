@@ -20,14 +20,15 @@ tests must not assume specific matrix entries (any conjugate choice is as
 good).  Word enumeration goes by length shells.  Each shell extends every
 word of the previous one by every letter that does not backtrack, and
 writes each product out entry by entry (a e + b g, a f + b h, c e + d g,
-c f + d h) over the gathered parent and letter rows.  The relator has even
-length, so a new word of length n + 1 is an element of length n + 1 or
-n - 1 and is compared only with the other new words and with shell n - 1,
-by the orbit point of 0 (its hyperboloid coordinate 2ab, unchanged under
-M -> -M).  Distinct orbit points lie at least 2 sinh(ya) apart (4.39 for
-genus 2), as the polygon holds the disk of radius ya about 0, so no
-tolerance is needed: a sort and sweep over the keys' real parts finds the
-pairs within half that separation, and the later word of each is dropped.
+c f + d h), each entry one broadcast product of the shell's entry planes
+with the letters' entries.  The relator has even length, so a new word of
+length n + 1 is an element of length n + 1 or n - 1 and is compared only
+with the other new words and with shell n - 1, by the orbit point of 0 (its
+hyperboloid coordinate 2ab, unchanged under M -> -M).  Distinct orbit
+points lie at least 2 sinh(ya) apart (4.39 for genus 2), as the polygon
+holds the disk of radius ya about 0, so no tolerance is needed: a sort and
+sweep over the keys' real parts finds the pairs within half that
+separation, and the later word of each is dropped.
 
 :func:`enumerate_group` returns the shells as one array record,
 :class:`GroupElements`: the renormalized matrices, word lengths, and the
@@ -339,31 +340,32 @@ def _shells(generators: list[GroupElement], depth: int):
 
     ``mats`` are raw (not renormalized) products, ``parent`` indexes the
     previous shell and ``letter`` the appended one (2i: generator i, 2i + 1:
-    its inverse); rows are ordered by parent, then by letter.  Each product
-    is written out entry by entry over the gathered parent and letter rows,
-    and only for words that are not free backtracks.
+    its inverse); rows are ordered by parent, then by letter.  The shell is
+    kept as four entry planes a, b, c, d, and each candidate entry is one
+    broadcast of a plane against the letters' entries, raveled row-major
+    (by parent, then by letter) and masked to the words that are not free
+    backtracks.
     """
     letters = np.array([m for gen in generators
                         for m in (gen.map.matrix(), gen.map.inverse().matrix())])
+    (e, f), (g, h) = letters[:, 0].T, letters[:, 1].T
     ya = regular_polygon(len(generators) // 2).center_to_edge
     separation = 2.0 * math.sinh(ya)  # see the module docstring
-    mats, backtrack = np.eye(2, dtype=complex)[None], np.array([-1])
+    a, b, c, d = np.eye(2, dtype=complex).reshape(4, 1)  # the identity's planes
+    backtrack = np.array([-1])
     old_keys, keys = np.empty(0, dtype=complex), np.zeros(1, dtype=complex)
     for _ in range(depth):
-        parent, letter = np.divmod(np.arange(len(mats) * len(letters)), len(letters))
-        reduced = letter != backtrack[parent]
-        parent, letter = parent[reduced], letter[reduced]
-        (a, b), (c, d) = mats[parent, 0].T, mats[parent, 1].T
-        (e, f), (g, h) = letters[letter, 0].T, letters[letter, 1].T
-        cand = np.empty((len(parent), 2, 2), dtype=complex)
-        cand[:, 0, 0], cand[:, 0, 1] = a * e + b * g, a * f + b * h
-        cand[:, 1, 0], cand[:, 1, 1] = c * e + d * g, c * f + d * h
-        both = np.concatenate([old_keys, 2.0 * cand[:, 0, 0] * cand[:, 0, 1]])
+        reduced = (np.arange(len(letters)) != backtrack[:, None]).ravel()
+        parent, letter = np.divmod(np.flatnonzero(reduced), len(letters))
+        planes = [(x[:, None] * u + y[:, None] * v).ravel()[reduced]
+                  for x, y in ((a, b), (c, d)) for u, v in ((e, g), (f, h))]
+        both = np.concatenate([old_keys, 2.0 * planes[0] * planes[1]])
         new = _first_of_pairs(both, separation)[len(old_keys):]
         old_keys, keys = keys, both[len(old_keys):][new]
-        mats, parent, letter = cand[new], parent[new], letter[new]
+        a, b, c, d = (plane[new] for plane in planes)
+        parent, letter = parent[new], letter[new]
         backtrack = letter ^ 1
-        yield mats, parent, letter
+        yield np.stack([a, b, c, d], axis=1).reshape(-1, 2, 2), parent, letter
 
 
 def enumerate_group(generators: list[GroupElement],

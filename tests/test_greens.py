@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from tunnelvision import greens
 from tunnelvision.domains import Disk
 from tunnelvision.greens import (NonConvergentSeriesError, PoleCollisionError,
-                                 PointConfiguration, find_quantizable,
+                                 PointConfiguration, _exact_sum, find_quantizable,
                                  green_flux, h3_green, potential_V,
                                  quantization_sum, quotient_green)
 from tunnelvision.groups import enumerate_group
@@ -101,6 +102,95 @@ def test_quotient_shells_decay(quotient_setup):
     assert np.all(np.diff(sums[1:]) < 0)
     # partial sums over shells increase (all terms positive)
     assert np.all(np.diff(np.cumsum(sums)) > 0)
+
+
+def test_quotient_shell_sums_frozen(quotient_setup):
+    # recorded with math.fsum over each shell (numpy 2.4, x86-64); every
+    # shell sum is exactly rounded, so any exact summation gives these bits
+    elements, pole, q = quotient_setup
+    sv = quotient_green(elements, pole, q, 6)
+    assert [s.hex() for s in sv.shell_sums] == [
+        "0x1.c82935150dee6p-2", "0x1.010e93134b851p-6", "0x1.f1e8d2e8cbd00p-9",
+        "0x1.a7bca977ee365p-10", "0x1.37292e161fd78p-11",
+        "0x1.8f2eab0f9aba7p-14", "0x1.b448bfc7d453cp-16"]
+
+
+def _sum_outcome(total, values):
+    """The sum's hex, or the type of the error it raises."""
+    try:
+        return total(values).hex()
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+_signed = st.sampled_from([1.0, -1.0])
+_wide = st.builds(lambda s, m: s * m, _signed, st.floats(1e-300, 1e300))
+_tiny = (st.sampled_from([0.0, -0.0, 5e-324, -5e-324])
+         | st.floats(-2.3e-308, 2.3e-308))
+_cancelling = st.builds(lambda x, delta: [x, -x * (1.0 + delta)], _wide | _tiny,
+                        st.floats(-1e-6, 1e-6) | st.sampled_from([2.0**-52, 2.0**-30]))
+_finite_terms = st.lists(_wide.map(lambda x: [x]) | _tiny.map(lambda x: [x]) | _cancelling,
+                         max_size=40).map(lambda parts: sum(parts, []))
+_terms = st.tuples(
+    _finite_terms, st.lists(st.sampled_from([math.inf, -math.inf, math.nan]), max_size=2)
+).flatmap(lambda parts: st.permutations(parts[0] + parts[1]))
+
+
+@settings(max_examples=400)
+@given(_terms)
+def test_exact_sum_is_fsum_bit_for_bit(terms):
+    x = np.array(terms, dtype=float)
+    assert _sum_outcome(_exact_sum, x) == _sum_outcome(math.fsum, x.tolist())
+
+
+@pytest.fixture
+def fsum_calls(monkeypatch):
+    """Count the ``math.fsum`` calls made while the test runs."""
+    calls, fsum = [0], math.fsum
+
+    def counting(values):
+        calls[0] += 1
+        return fsum(values)
+
+    monkeypatch.setattr(math, "fsum", counting)
+    return calls
+
+
+@pytest.mark.parametrize("terms, expected, fallbacks", [
+    ([2.5], "0x1.4000000000000p+1", 0),
+    ([0.1] * 10, "0x1.0000000000000p+0", 0),
+    ([1e100, 1.0, -1e100], "0x1.0000000000000p+0", 0),
+    ([], "0x0.0p+0", 1),
+    ([-0.0], "0x0.0p+0", 1),
+    ([1.0, -1.0], "0x0.0p+0", 1),                          # an exact zero sum
+    ([1e300, -1e300, 3.0, -3.0], "0x0.0p+0", 1),
+    ([1.0, math.inf], "inf", 1),                           # a non-finite term
+    ([math.nan, 1.0], "nan", 1),
+    ([1.0, 2.0**-53, 2.0**-106], "0x1.0000000000001p+0", 1),  # a near tie
+])
+def test_exact_sum_certifies_or_falls_back(fsum_calls, terms, expected, fallbacks):
+    x = np.array(terms, dtype=float)
+    assert _exact_sum(x).hex() == expected  # math.fsum's result, checked by hand
+    assert fsum_calls[0] == fallbacks
+
+
+def test_exact_sum_fallback_raises_as_fsum(fsum_calls):
+    with pytest.raises(OverflowError):
+        _exact_sum(np.array([1.5e308, 1.5e308]))
+    with pytest.raises(ValueError):
+        _exact_sum(np.array([math.inf, -math.inf]))
+    assert fsum_calls[0] == 2
+
+
+@pytest.mark.parametrize("pole, q", [
+    (H3Point(0.1, 0.05, 0.9), H3Point(0.3, -0.2, 0.6)),
+    (H3Point(-0.2, 0.25, 1.1), H3Point(0.0, 0.0, 0.7)),
+    (H3Point(0.0, 0.0, 1.0), H3Point(0.25, 0.1, 1.2)),
+])
+def test_shell_sums_are_certified(genus2_elements, fsum_calls, pole, q):
+    # every shell of a depth-6 series is certified: no fallback to math.fsum
+    sums = greens._shell_sums(genus2_elements.matrices, genus2_elements.lengths, pole, q)
+    assert len(sums) == 7 and fsum_calls[0] == 0
 
 
 def test_quotient_value_within_tail_of_deeper_truncation(quotient_setup):

@@ -147,9 +147,7 @@ def test_enumeration_counts(genus2_generators, genus2_elements):
     shell1 = enumerate_group(genus2_generators, 1)
     assert len(shell1) == 9  # identity + 2g generators and inverses, g = 2
 
-    by_len = {}
-    for el in genus2_elements:
-        by_len[el.word_length] = by_len.get(el.word_length, 0) + 1
+    by_len = np.bincount(genus2_elements.lengths)
     # depth <= 3: free-group counts 8 * 7^(L-1), no relator coincidences
     # (the shortest relation has length 8)
     assert by_len[0] == 1
@@ -184,9 +182,7 @@ def test_enumeration_bruteforce_cross_check(genus2_generators):
 
 
 def test_shell_growth_is_geometric(genus2_elements):
-    counts = {}
-    for el in genus2_elements:
-        counts[el.word_length] = counts.get(el.word_length, 0) + 1
+    counts = np.bincount(genus2_elements.lengths)
     ratios = [counts[k + 1] / counts[k] for k in range(2, 5)]
     assert all(6.5 < r < 7.5 for r in ratios)
 
@@ -254,6 +250,23 @@ def test_depth6_words_frozen(genus2_elements):
         "\n".join(el.word for el in genus2_elements).encode()).hexdigest()
     assert digest == ("4234120306d017cf4ec2bf4a3bb07208"
                       "41164b850c70ee38b5db220d09f75e85")
+
+
+def test_depth6_record_bits_frozen(genus2_elements):
+    # digests of the depth-6 record's arrays and of limit_set_sample(2, 5),
+    # recorded from the gathered-row products (numpy 2.4, x86-64): a reordered
+    # or fused product changes these bits even where the words stay the same
+    def digest(arr):
+        return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
+
+    assert digest(genus2_elements.matrices) == (
+        "a4836a1bfde82121b6118283cf84c20e68df91df16ea6e81135ca2e903734ed3")
+    assert digest(genus2_elements.parent) == (
+        "601cb47a421bccc852898db10b7b242893557e22cb4e92acaca5717782592593")
+    assert digest(genus2_elements.letter) == (
+        "0f111d6e970fb41e12b30a90e1c7ec6ecf17947fd048a5ca960bf0c7cd8e489f")
+    assert digest(limit_set_sample(2, 5)) == (
+        "3dddd8bf5817a01dc758b4e7a69ef5398dc32bbfa52d0b4ea221806c1b0da88f")
 
 
 def test_enumerate_rejects_negative_length(genus2_generators):
