@@ -14,8 +14,8 @@ from .runio import __version__
 from .hyperbolic import (H3Point, DiskPoint, MobiusMap, INFINITY, h3_distance,
                          disk_distance, disk_to_h3, laplace_beltrami)
 from .domains import (PlanarDomain, Disk, HalfPlane, SimplePolygon, Union,
-                      Intersection, Difference, dogbone, reflection_symmetric,
-                      boundary_pieces, domain_from_obj)
+                      Intersection, Difference, dogbone, boundary_pieces,
+                      domain_from_obj)
 from .measure import (QuadratureConfig, MeasureValue, MeasureValues,
                       poisson_kernel, harmonic_measure, measure_many,
                       measure_with_gradient, halfplane_closed_form,

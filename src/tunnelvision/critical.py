@@ -3,13 +3,15 @@
 For a bounded region invariant under ``zeta -> -zeta`` the measure is
 invariant under the half-turn about the z-axis, so its gradient along the
 axis is tangent to the axis: interior extrema of the axis restriction are
-genuine critical points in 3-space.  The axis profile tends to 1 as z -> 0
-(when 0 is interior) and to 0 as z -> infinity, so a profile that is not
-monotone produces critical points.  The dogbone region (two small disks plus
-a thin corridor through 0) is the standard source of such profiles: seen
-from height comparable to the corridor's reach the region is nearly
-invisible, while from height ~ 1 both disks contribute, so the profile dips
-and recovers before its final decay.
+genuine critical points in 3-space.  The axis search does not take that
+symmetry on trust: an extremum is conclusive only where the horizontal
+gradient evaluated there is zero within its error bound.  The axis profile
+tends to 1 as z -> 0 (when 0 is interior) and to 0 as z -> infinity, so a
+profile that is not monotone produces critical points.  The dogbone region
+(two small disks plus a thin corridor through 0) is the standard source of
+such profiles: seen from height comparable to the corridor's reach the
+region is nearly invisible, while from height ~ 1 both disks contribute, so
+the profile dips and recovers before its final decay.
 
 The almost-Kahler verdict reports whether a nowhere-zero self-dual harmonic
 form can exist for the associated conformal class: any confirmed critical
@@ -24,8 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import (BoundaryPieces, PlanarDomain, boundary_pieces, dogbone,
-                      reflection_symmetric)
+from .domains import BoundaryPieces, PlanarDomain, boundary_pieces, dogbone
 from .hyperbolic import H3Point
 from .measure import MeasureValue, MeasureValues, QuadratureConfig, measure_many
 
@@ -279,19 +280,17 @@ def axis_critical_points(profile: AxisProfile, domain: PlanarDomain | BoundaryPi
     value, gradient and Hessian stencil come from one more evaluation.  An
     extremum is ``conclusive`` when both bracket-end evaluations converged
     and their slopes have the expected opposite signs beyond their error
-    bars, which proves a zero of df/dz inside the bracket.
+    bars, which proves a zero of df/dz inside the bracket, and when df/dx
+    and df/dy at the report lie within their error bounds.  The last test
+    holds on a region invariant under ``zeta -> -zeta``; on any other
+    region the axis is not a gradient line, and its extrema are reported
+    but not conclusive.
 
-    A domain must be bounded and pass the reflection-symmetry check;
-    otherwise axis extrema would not be critical points of the 3-space
-    function and the call is rejected.  Prepared ``BoundaryPieces`` are
-    taken unchecked, as the arrangement of a region the caller has checked.
+    ``domain`` may be a bounded domain or its prepared ``BoundaryPieces``.
     """
-    if not isinstance(domain, BoundaryPieces):
-        if not math.isfinite(domain.bounding_radius):
-            raise ValueError("axis search requires a bounded domain")
-        if not reflection_symmetric(domain):
-            raise ValueError("axis extrema are critical points only for domains "
-                             "invariant under zeta -> -zeta; symmetry check failed")
+    if (not isinstance(domain, BoundaryPieces)
+            and not math.isfinite(domain.bounding_radius)):
+        raise ValueError("axis search requires a bounded domain")
     pieces = boundary_pieces(domain)
     z = profile.z
     df = np.diff(profile.f)
@@ -327,6 +326,8 @@ def axis_critical_points(profile: AxisProfile, domain: PlanarDomain | BoundaryPi
     at = _axis_points(z_star)
     centres, hessians = _with_hessians(pieces, at, config)
     norms = _hyperbolic_norms(at, centres.gradients)
+    conclusive &= np.all(np.abs(centres.gradients[:, :2])
+                         <= centres.gradient_errors[:, :2], axis=1)
     return [CriticalPointReport(
                 location=H3Point(0.0, 0.0, z_star[n]),
                 f_value=float(centres.values[n]),
@@ -377,7 +378,6 @@ def dogbone_experiment(epsilon: float,
     did not converge.  Returns a DogboneReport together with the axis
     profile used for the search.  ``threads`` is accepted and has no effect.
     """
-    # symmetric by construction, so the axis search takes the pieces unchecked
     pieces = boundary_pieces(dogbone(epsilon))
     f_eps, f_one = measure_many(pieces, _axis_points([epsilon, 1.0]), config)
     separated = (f_eps.value + f_eps.error < f_one.value - f_one.error
@@ -406,9 +406,12 @@ def refine_critical_point_3d(domain: PlanarDomain, p0: H3Point, tol: float,
     """Damped Newton refinement of the gradient zero near ``p0``.
 
     Works in Euclidean coordinates with the hyperbolic gradient norm
-    ``z * |grad f|`` as the convergence functional (critical points agree in
-    both metrics).  Raises RefinementError on divergence or when the iterate
-    leaves the search box around the start point.
+    ``z * |grad f|`` as the descent functional (critical points agree in
+    both metrics).  Converged means that norm is below ``tol`` and the
+    Newton step from the iterate has hyperbolic length ``|step| / z`` below
+    ``tol``, so a point where the gradient is merely small (near the plane,
+    say) is not returned unmoved.  Raises RefinementError on divergence or
+    when the iterate leaves the search box around the start point.
     """
     r_dom = domain.bounding_radius
     box_xy = 2.0 * (r_dom if math.isfinite(r_dom) else 10.0)
@@ -425,16 +428,16 @@ def refine_critical_point_3d(domain: PlanarDomain, p0: H3Point, tol: float,
     p = p0
     mv, grad, H, norm = evaluate(p.as_array())
     for _ in range(max_steps):
-        if norm < tol:
+        try:
+            step = np.linalg.solve(H, -grad)
+        except np.linalg.LinAlgError as exc:
+            raise RefinementError(f"singular Hessian at {p}") from exc
+        if norm < tol and float(np.linalg.norm(step)) < tol * p.z:
             return CriticalPointReport(
                 location=p, f_value=mv.value, f_error=mv.error,
                 grad_norm_hyperbolic=norm, classification="3d-refined",
                 hessian_det=float(np.linalg.det(H)), tolerance=tol,
             )
-        try:
-            step = np.linalg.solve(H, -grad)
-        except np.linalg.LinAlgError as exc:
-            raise RefinementError(f"singular Hessian at {p}") from exc
         lam = 1.0
         improved = False
         while lam > 1.0 / 64.0:
@@ -461,11 +464,16 @@ def almost_kahler_verdict(domain: PlanarDomain, search: GridSpec | None = None,
                           threads: int = 1) -> Verdict:
     """Search for critical points and report the almost-Kahler consequence.
 
-    Any converged report means the associated conformal class is not
-    representable by an almost-Kahler metric.  ``no_critical_point_found`` is
-    explicitly search-relative: it is evidence at the coverage recorded in
-    the verdict (which counts the scan evaluations that did not converge),
-    not a proof that none exist.  ``threads`` has no effect.
+    The search is an axis search (:func:`axis_critical_points` on a
+    200-sample profile over the grid's z range) and a grid scan whose points
+    with z |grad f| below 10 tol seed Newton refinement.  Any conclusive
+    report means the associated conformal class is not representable by an
+    almost-Kahler metric.  ``no_critical_point_found`` is explicitly
+    search-relative: it is evidence at the coverage recorded in the verdict,
+    not a proof that none exist.  ``coverage`` holds the grid, its point
+    count, its least z |grad f|, the seed threshold, the tolerance, the
+    number of profile and scan evaluations that did not converge, and a
+    note.  ``threads`` has no effect.
     """
     r = domain.bounding_radius
     if not math.isfinite(r):
@@ -477,18 +485,13 @@ def almost_kahler_verdict(domain: PlanarDomain, search: GridSpec | None = None,
     threshold = 10.0 * config.tolerance
     pieces = boundary_pieces(domain)
 
-    reports = []
-    nonconverged = 0
-    symmetric = reflection_symmetric(domain)
-    if symmetric:
-        zs = search.axes()[2]
-        profile = axis_profile(pieces, zs[0], zs[-1], 200, config)
-        nonconverged += int((~profile.converged).sum())
-        reports.extend(axis_critical_points(profile, pieces, 1e-6, config))
+    zs = search.axes()[2]
+    profile = axis_profile(pieces, zs[0], zs[-1], 200, config)
+    reports = axis_critical_points(profile, pieces, 1e-6, config)
 
     pts = search.points()
     scan = measure_many(pieces, pts, config, gradient=True)
-    nonconverged += int((~scan.converged).sum())
+    nonconverged = int((~profile.converged).sum() + (~scan.converged).sum())
     norms = _hyperbolic_norms(pts, scan.gradients)
     min_norm = float(norms.min())
 
@@ -510,7 +513,6 @@ def almost_kahler_verdict(domain: PlanarDomain, search: GridSpec | None = None,
         "min_grid_gradient_norm": min_norm,
         "threshold": threshold,
         "tolerance": config.tolerance,
-        "axis_search": symmetric,
         "nonconverged_evaluations": nonconverged,
         "note": "no_critical_point_found is relative to this coverage",
     }

@@ -10,9 +10,7 @@ Beyond membership, a tree's boundary is laid out by :func:`boundary_pieces`
 as oriented segments and circular arcs, the input of the measure's boundary
 sum.  Every domain also intersects rays with its primitive boundaries (for
 the reference quadrature over angle) and rescales itself.
-:func:`dogbone` builds the paper's example region, and
-:func:`reflection_symmetric` tests a region for the half-turn symmetry that
-the axis search of :mod:`~tunnelvision.critical` needs.
+:func:`dogbone` builds the paper's example region.
 
 The JSON wire format is a tagged-union tree, e.g.::
 
@@ -38,7 +36,6 @@ __all__ = [
     "Intersection",
     "Difference",
     "dogbone",
-    "reflection_symmetric",
     "BoundaryPieces",
     "boundary_pieces",
     "domain_from_obj",
@@ -62,7 +59,12 @@ class PlanarDomain:
         raise NotImplementedError
 
     def scaled(self, lam: float) -> "PlanarDomain":
-        """The dilated domain ``lam * Omega``."""
+        """The dilated domain ``lam * Omega``, for a finite ``lam > 0``."""
+        if not (math.isfinite(lam) and lam > 0):
+            raise ValueError(f"scale factor must be finite and positive, got {lam}")
+        return self._scaled(lam)
+
+    def _scaled(self, lam):
         raise NotImplementedError
 
     def to_obj(self):
@@ -102,7 +104,7 @@ class Disk(PlanarDomain):
     def primitives(self):
         yield self
 
-    def scaled(self, lam):
+    def _scaled(self, lam):
         return Disk(self.center * lam, self.radius * lam)
 
     def ray_crossings(self, origin, dirs):
@@ -159,7 +161,7 @@ class HalfPlane(PlanarDomain):
     def primitives(self):
         yield self
 
-    def scaled(self, lam):
+    def _scaled(self, lam):
         return HalfPlane(self.normal, self.offset * lam)
 
     def ray_crossings(self, origin, dirs):
@@ -238,7 +240,7 @@ class SimplePolygon(PlanarDomain):
     def primitives(self):
         yield self
 
-    def scaled(self, lam):
+    def _scaled(self, lam):
         return SimplePolygon(tuple(v * lam for v in self.vertices))
 
     def ray_crossings(self, origin, dirs):
@@ -295,8 +297,8 @@ class Union(_Node):
     def bounding_radius(self):
         return max(a.bounding_radius for a in self.args)
 
-    def scaled(self, lam):
-        return Union(*(a.scaled(lam) for a in self.args))
+    def _scaled(self, lam):
+        return Union(*(a._scaled(lam) for a in self.args))
 
     def to_obj(self):
         return {"op": "union", "args": [a.to_obj() for a in self.args]}
@@ -313,8 +315,8 @@ class Intersection(_Node):
     def bounding_radius(self):
         return min(a.bounding_radius for a in self.args)
 
-    def scaled(self, lam):
-        return Intersection(*(a.scaled(lam) for a in self.args))
+    def _scaled(self, lam):
+        return Intersection(*(a._scaled(lam) for a in self.args))
 
     def to_obj(self):
         return {"op": "intersection", "args": [a.to_obj() for a in self.args]}
@@ -331,8 +333,8 @@ class Difference(_Node):
     def bounding_radius(self):
         return self.args[0].bounding_radius
 
-    def scaled(self, lam):
-        return Difference(self.args[0].scaled(lam), self.args[1].scaled(lam))
+    def _scaled(self, lam):
+        return Difference(self.args[0]._scaled(lam), self.args[1]._scaled(lam))
 
     def to_obj(self):
         return {"op": "difference", "args": [a.to_obj() for a in self.args]}
@@ -355,27 +357,6 @@ def dogbone(epsilon: float) -> PlanarDomain:
         HalfPlane(-1j, -h),   # Im zeta <  h
     )
     return Union(Disk(1.0 + 0j, 0.25), Disk(-1.0 + 0j, 0.25), corridor)
-
-
-# the sample size and seed of every symmetry test
-_SYMMETRY_SAMPLES = 4096
-_SYMMETRY_SEED = 20210405
-
-
-def reflection_symmetric(domain: PlanarDomain) -> bool:
-    """Monte Carlo test of invariance under ``zeta -> -zeta``.
-
-    Deterministic: 4096 samples from a fixed seed, drawn uniformly from the
-    bounding disk (a window of radius 10 if the domain is unbounded).
-    """
-    rng = np.random.default_rng(_SYMMETRY_SEED)
-    radius = domain.bounding_radius
-    if not math.isfinite(radius):
-        radius = 10.0
-    r = radius * np.sqrt(rng.uniform(0.0, 1.0, _SYMMETRY_SAMPLES))
-    phi = rng.uniform(0.0, 2.0 * math.pi, _SYMMETRY_SAMPLES)
-    z = r * np.exp(1j * phi)
-    return bool(np.all(domain.contains(z) == domain.contains(-z)))
 
 
 # -- boundary arrangement -------------------------------------------------------

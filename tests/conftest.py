@@ -104,11 +104,3 @@ def measure_calls(monkeypatch):
     """
     return _count_calls(monkeypatch, measure.measure_many)
 
-
-@pytest.fixture
-def symmetry_tests(monkeypatch):
-    """Count the ``reflection_symmetric`` tests, in every module that imports it.
-
-    Returns a one-element list holding the count.
-    """
-    return _count_calls(monkeypatch, domains.reflection_symmetric)

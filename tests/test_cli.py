@@ -229,6 +229,24 @@ def test_critical_nonconverged_exit(disk_json, tmp_path):
     assert verdict["coverage"]["nonconverged_evaluations"] > 0
 
 
+def test_critical_lopsided_axis_extrema_are_inconclusive(tmp_path):
+    # the axis extrema of a region without the half-turn symmetry are not
+    # critical points (a nearby off-axis one is, see
+    # test_refine_tracks_perturbed_domain): they are reported, not conclusive
+    path = tmp_path / "lopsided.json"
+    path.write_text(json.dumps({"op": "union", "args": [
+        {"disk": {"c": [1, 0], "r": 0.26}}, {"disk": {"c": [-1, 0], "r": 0.25}},
+        {"dogbone": {"eps": 0.1}}]}))
+    rc = main(["critical", "--domain", str(path), "--grid-n", "4",
+               "--out-dir", str(tmp_path)])
+    assert rc == 2
+    verdict = json.loads((tmp_path / "verdict.json").read_text())
+    _schema("verdict.schema.json")(verdict)
+    assert verdict["status"] == "no_critical_point_found"
+    assert [(r["classification"], r["conclusive"]) for r in verdict["reports"]] == \
+        [("axis-min", False), ("axis-max", False)]
+
+
 def test_critical_grid_n_below_two(disk_json, tmp_path, capsys):
     for n in ("0", "1"):
         rc = main(["critical", "--domain", disk_json, "--grid-n", n,

@@ -8,8 +8,7 @@ from scipy.integrate import quad
 
 from tunnelvision.domains import (Difference, Disk, HalfPlane, Intersection,
                                   SimplePolygon, Union, boundary_pieces,
-                                  dogbone, domain_from_obj,
-                                  reflection_symmetric)
+                                  dogbone, domain_from_obj)
 
 
 def test_contains_basics(dogbone01):
@@ -76,14 +75,6 @@ def test_dogbone_monotone_in_eps(rng):
     inside_small = small.contains(z)
     inside_big = big.contains(z)
     assert not np.any(inside_small & ~inside_big)
-
-
-def test_reflection_symmetric():
-    assert reflection_symmetric(Disk(0, 1.0))
-    # dogbone_experiment relies on this without testing it
-    for eps in (0.01, 0.05, 0.1, 0.2274, 0.3, 0.49):
-        assert reflection_symmetric(dogbone(eps)), eps
-    assert not reflection_symmetric(Disk(1.0, 0.25))
 
 
 def test_hausdorff_basic(hausdorff_distance, rng):
@@ -166,6 +157,18 @@ def test_polygon_scaled_and_bounding():
     tri = SimplePolygon((0j, 2 + 0j, 1j))
     assert tri.bounding_radius == 2.0
     assert tri.scaled(2.0).contains(3 + 0j) == tri.contains(1.5 + 0j)
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0, -0.5, math.inf, -math.inf, math.nan])
+def test_scaled_rejects_nonpositive_or_nonfinite_factors(lam, dogbone01):
+    # a dilation needs lam > 0: lam = -1 would flip a half-plane's side,
+    # and a disk's radius would turn negative
+    domains = (Disk(0.5j, 1.0), HalfPlane(1j, 0.5),
+               SimplePolygon((0j, 2 + 0j, 1j)), dogbone01)
+    for domain in domains:
+        with pytest.raises(ValueError,
+                           match="^scale factor must be finite and positive"):
+            domain.scaled(lam)
 
 
 def test_json_roundtrip(dogbone01, rng):

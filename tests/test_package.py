@@ -16,3 +16,15 @@ def test_reexports_are_in_module_all():
         module = importlib.import_module(f"tunnelvision.{node.module}")
         missing = [a.name for a in node.names if a.name not in module.__all__]
         assert not missing, f"tunnelvision.{node.module}.__all__ lacks {missing}"
+
+
+def test_module_all_names_exist():
+    # a name left in __all__ after its definition is gone breaks ``import *``
+    modules = [importlib.import_module(f"tunnelvision.{name[:-3]}")
+               for name in sorted(os.listdir(os.path.dirname(tunnelvision.__file__)))
+               if name.endswith(".py") and name != "__init__.py"]
+    assert any(hasattr(module, "__all__") for module in modules)
+    for module in modules:
+        missing = [name for name in getattr(module, "__all__", ())
+                   if not hasattr(module, name)]
+        assert not missing, f"{module.__name__}.__all__ names {missing}"
