@@ -16,7 +16,10 @@ the profile dips and recovers before its final decay.
 The almost-Kahler verdict reports whether a nowhere-zero self-dual harmonic
 form can exist for the associated conformal class: any confirmed critical
 point rules it out, while the negative outcome is search-relative evidence
-("not found"), never a proof of nonexistence.
+("not found"), never a proof of nonexistence.  Critical points are the zeros
+of the self-dual form, |omega| = sqrt(2) z |grad f|, so the verdict and the
+zero-locus report share one off-axis search: scan a grid, threshold
+|omega| / u^2, cluster the hits, and run Newton once per cluster.
 """
 
 from __future__ import annotations
@@ -400,8 +403,8 @@ def dogbone_experiment(epsilon: float,
     return report, profile
 
 
-def refine_critical_point_3d(domain: PlanarDomain, p0: H3Point, tol: float,
-                             config: QuadratureConfig = QuadratureConfig(),
+def refine_critical_point_3d(domain: PlanarDomain | BoundaryPieces, p0: H3Point,
+                             tol: float, config: QuadratureConfig = QuadratureConfig(),
                              max_steps: int = 30) -> CriticalPointReport:
     """Damped Newton refinement of the gradient zero near ``p0``.
 
@@ -411,12 +414,11 @@ def refine_critical_point_3d(domain: PlanarDomain, p0: H3Point, tol: float,
     Newton step from the iterate has hyperbolic length ``|step| / z`` below
     ``tol``, so a point where the gradient is merely small (near the plane,
     say) is not returned unmoved.  Raises RefinementError on divergence or
-    when the iterate leaves the search box around the start point.
+    when the iterate leaves the box |x + iy| < 2 ``pieces.extent``,
+    p0.z / 64 < z < 64 p0.z.  ``domain`` may be the region's prepared pieces.
     """
-    r_dom = domain.bounding_radius
-    box_xy = 2.0 * (r_dom if math.isfinite(r_dom) else 10.0)
-    z_lo, z_hi = p0.z / 64.0, p0.z * 64.0
     pieces = boundary_pieces(domain)
+    z_lo, z_hi = p0.z / 64.0, p0.z * 64.0
 
     def evaluate(point):
         """Measure, gradient, Hessian and z |grad f| at point (x, y, z), in one call."""
@@ -442,7 +444,7 @@ def refine_critical_point_3d(domain: PlanarDomain, p0: H3Point, tol: float,
         improved = False
         while lam > 1.0 / 64.0:
             cand = p.as_array() + lam * step
-            if (abs(complex(cand[0], cand[1])) > box_xy
+            if (abs(complex(cand[0], cand[1])) > 2.0 * pieces.extent
                     or not z_lo < cand[2] < z_hi):
                 raise RefinementError(f"left the search box at {cand}")
             q = H3Point(*cand)
@@ -459,24 +461,106 @@ def refine_critical_point_3d(domain: PlanarDomain, p0: H3Point, tol: float,
                           f"(gradient norm {norm:.3e})")
 
 
+SQRT2 = math.sqrt(2.0)
+
+
+def form_norm_grid(domain: PlanarDomain | BoundaryPieces, grid: GridSpec,
+                   quad: QuadratureConfig = QuadratureConfig(),
+                   u_mode: str = "height"):
+    """The table (x, y, z, omega_norm_g0, weighted_norm) over a search grid.
+
+    The flat table behind the off-axis search: an (n, 5) array, one row per
+    grid point in grid order; ``weighted_norm`` is omega_norm / u^2 for the
+    chosen defining function, and inf where u = 0.  Returns
+    ``(table, record)``, the second the grid's :class:`MeasureValues` (with
+    gradients), whose ``converged`` flags the evaluations that did not
+    converge.  ``domain`` may be the region's prepared boundary pieces.
+    """
+    if u_mode not in ("height", "sqrt_f"):
+        raise ValueError("u_mode must be 'height' or 'sqrt_f'")
+    pts = grid.points()
+    record = measure_many(domain, pts, quad, gradient=True)
+    omega = SQRT2 * _hyperbolic_norms(pts, record.gradients)
+    if u_mode == "height":
+        u = pts[:, 2]
+    else:
+        f = record.values
+        u = np.sqrt(np.maximum(f * (1.0 - f), 0.0))
+    # u^2 rounded as Python's u**2 (libm pow); u * u differs in the last bit
+    # on about 0.1% of rows
+    weighted = np.divide(omega, np.float_power(u, 2), out=np.full_like(omega, math.inf),
+                         where=u > 0.0)
+    return np.column_stack([pts, omega, weighted]), record
+
+
+def _clusters(hits):
+    """Grid-adjacent clusters of a boolean hit mask (nx, ny, nz), 6-neighbourhood.
+
+    Returns tuples of hit numbers, counted in ``np.flatnonzero(hits)`` order:
+    each cluster sorted, the clusters ordered by their first hit.  Every hit
+    starts labelled with its flat index and takes the least label among its
+    hit neighbours until no label changes, so a cluster's label is its
+    least flat index.
+    """
+    no_hit, flat = hits.size, np.flatnonzero(hits)
+    b = np.full(np.add(hits.shape, 2), no_hit)
+    label = b[1:-1, 1:-1, 1:-1]  # a view of b, whose border stays no_hit
+    label[hits] = flat
+    while True:
+        least = np.where(hits, np.minimum.reduce([
+            label, b[2:, 1:-1, 1:-1], b[:-2, 1:-1, 1:-1], b[1:-1, 2:, 1:-1],
+            b[1:-1, :-2, 1:-1], b[1:-1, 1:-1, 2:], b[1:-1, 1:-1, :-2]]), no_hit)
+        if np.array_equal(least, label):
+            break
+        label[...] = least
+    label = label[hits]
+    return tuple(tuple(np.flatnonzero(label == first).tolist())
+                 for first in flat[label == flat])
+
+
+def _zero_clusters(pieces: BoundaryPieces, grid: GridSpec, config: QuadratureConfig,
+                   threshold: float, u_mode: str = "height"):
+    """The off-axis search: scan, threshold, cluster, one Newton per cluster.
+
+    Hits are the rows of :func:`form_norm_grid` with weighted norm below
+    ``threshold``; each cluster's hit of least form norm seeds Newton at
+    tolerance 10 tol.  Returns the table, its record, the hit rows (lists),
+    the clusters and per cluster its report, or None where Newton failed.
+    """
+    table, record = form_norm_grid(pieces, grid, config, u_mode)
+    hits = table[:, 4] < threshold
+    clusters = _clusters(hits.reshape([len(axis) for axis in grid.axes()]))
+    rows = table[hits].tolist()
+    refined = []
+    for comp in clusters:
+        x, y, z = rows[min(comp, key=lambda n: rows[n][3])][:3]
+        try:
+            refined.append(refine_critical_point_3d(
+                pieces, H3Point(x, y, z), 10.0 * config.tolerance, config))
+        except RefinementError:
+            refined.append(None)
+    return table, record, rows, clusters, refined
+
+
 def almost_kahler_verdict(domain: PlanarDomain, search: GridSpec | None = None,
                           config: QuadratureConfig = QuadratureConfig(),
                           threads: int = 1) -> Verdict:
     """Search for critical points and report the almost-Kahler consequence.
 
     The search is an axis search (:func:`axis_critical_points` on a
-    200-sample profile over the grid's z range) and a grid scan whose points
-    with z |grad f| below 10 tol seed Newton refinement.  Any conclusive
+    200-sample profile over the grid's z range) and, on the same pieces,
+    the off-axis search of :func:`~tunnelvision.forms.zero_locus_report`
+    at its defaults: one Newton run per cluster of grid points where
+    sqrt(2) |grad f| / z is below the threshold 10 tol.  Any conclusive
     report means the associated conformal class is not representable by an
     almost-Kahler metric.  ``no_critical_point_found`` is explicitly
     search-relative: it is evidence at the coverage recorded in the verdict,
     not a proof that none exist.  ``coverage`` holds the grid, its point
-    count, its least z |grad f|, the seed threshold, the tolerance, the
-    number of profile and scan evaluations that did not converge, and a
-    note.  ``threads`` has no effect.
+    count, its least z |grad f|, that threshold, the tolerance, the number
+    of profile and scan evaluations that did not converge, and a note.
+    ``threads`` has no effect.
     """
-    r = domain.bounding_radius
-    if not math.isfinite(r):
+    if not math.isfinite(domain.bounding_radius):
         raise ValueError("verdict search requires a bounded domain")
     if not bool(domain.contains(0j)):
         raise ValueError("verdict search expects a domain containing 0")
@@ -485,35 +569,24 @@ def almost_kahler_verdict(domain: PlanarDomain, search: GridSpec | None = None,
     threshold = 10.0 * config.tolerance
     pieces = boundary_pieces(domain)
 
-    zs = search.axes()[2]
-    profile = axis_profile(pieces, zs[0], zs[-1], 200, config)
+    profile = axis_profile(pieces, search.z[0], search.z[1], 200, config)
     reports = axis_critical_points(profile, pieces, 1e-6, config)
 
-    pts = search.points()
-    scan = measure_many(pieces, pts, config, gradient=True)
-    nonconverged = int((~profile.converged).sum() + (~scan.converged).sum())
-    norms = _hyperbolic_norms(pts, scan.gradients)
-    min_norm = float(norms.min())
-
-    for row in pts[norms < threshold].tolist():
-        p = H3Point(*row)
-        if any(_close(p, rep.location) for rep in reports):
-            continue
-        try:
-            rep = refine_critical_point_3d(domain, p, threshold, config)
-        except RefinementError:
-            continue
-        if not any(_close(rep.location, r0.location) for r0 in reports):
-            reports.append(rep)
+    table, scan, _, _, refined = _zero_clusters(pieces, search, config, threshold)
+    for new in filter(None, refined):
+        if not any(_close(new.location, old.location) for old in reports):
+            reports.append(new)
 
     found = any(rep.conclusive for rep in reports)
     coverage = {
         "grid": search.to_obj(),
-        "grid_points": len(pts),
-        "min_grid_gradient_norm": min_norm,
+        "grid_points": len(table),
+        "min_grid_gradient_norm": float(
+            _hyperbolic_norms(table[:, :3], scan.gradients).min()),
         "threshold": threshold,
         "tolerance": config.tolerance,
-        "nonconverged_evaluations": nonconverged,
+        "nonconverged_evaluations": int((~profile.converged).sum()
+                                        + (~scan.converged).sum()),
         "note": "no_critical_point_found is relative to this coverage",
     }
     return Verdict(

@@ -31,9 +31,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .critical import (GridSpec, RefinementError, _hyperbolic_norms,
-                       refine_critical_point_3d)
-from .domains import BoundaryPieces, PlanarDomain
+from .critical import (SQRT2, GridSpec, _hyperbolic_norms, _zero_clusters,
+                       form_norm_grid)
+from .domains import BoundaryPieces, PlanarDomain, boundary_pieces
 from .hyperbolic import H3Point
 from .measure import QuadratureConfig, measure_many, measure_with_gradient
 
@@ -47,9 +47,6 @@ __all__ = [
     "zero_locus_report",
     "form_norm_grid",
 ]
-
-SQRT2 = math.sqrt(2.0)
-
 
 @dataclass(frozen=True)
 class FormSample:
@@ -226,8 +223,7 @@ class ZeroLocusReport:
     samples: tuple              # sub-threshold FormSamples (u-weighted)
     clusters: tuple             # tuples of sample indices, grid-adjacent
     critical_points: tuple      # refined reports, one attempt per cluster
-    cross_referenced: bool      # every cluster refined, every point clustered
-                                # AND every scan evaluation converged
+    cross_referenced: bool      # every cluster refined, every scan converged
     nonconverged_evaluations: int
     threshold: float
     u_mode: str
@@ -244,61 +240,7 @@ class ZeroLocusReport:
         }
 
 
-def form_norm_grid(domain: PlanarDomain | BoundaryPieces, grid: GridSpec,
-                   quad: QuadratureConfig = QuadratureConfig(),
-                   u_mode: str = "height"):
-    """The table (x, y, z, omega_norm_g0, weighted_norm) over a search grid.
-
-    The flat table behind :func:`zero_locus_report`: an (n, 5) array, one
-    row per grid point in grid order; ``weighted_norm`` is omega_norm / u^2
-    for the chosen defining function, and inf where u = 0.  Returns
-    ``(table, record)``, the second the grid's :class:`MeasureValues` (with
-    gradients), whose ``converged`` flags the evaluations that did not
-    converge.  ``domain`` may be the region's prepared boundary pieces.
-    """
-    if u_mode not in ("height", "sqrt_f"):
-        raise ValueError("u_mode must be 'height' or 'sqrt_f'")
-    pts = grid.points()
-    record = measure_many(domain, pts, quad, gradient=True)
-    omega = SQRT2 * _hyperbolic_norms(pts, record.gradients)
-    if u_mode == "height":
-        u = pts[:, 2]
-    else:
-        f = record.values
-        u = np.sqrt(np.maximum(f * (1.0 - f), 0.0))
-    # u^2 rounded as Python's u**2 (libm pow); u * u differs in the last bit
-    # on about 0.1% of rows
-    weighted = np.divide(omega, np.float_power(u, 2), out=np.full_like(omega, math.inf),
-                         where=u > 0.0)
-    return np.column_stack([pts, omega, weighted]), record
-
-
-def _clusters(hits):
-    """Grid-adjacent clusters of a boolean hit mask (nx, ny, nz), 6-neighbourhood.
-
-    Returns tuples of hit numbers, counted in ``np.flatnonzero(hits)`` order:
-    each cluster sorted, the clusters ordered by their first hit.  Every hit
-    starts labelled with its flat index and takes the least label among its
-    hit neighbours until no label changes, so a cluster's label is its
-    least flat index.
-    """
-    no_hit, flat = hits.size, np.flatnonzero(hits)
-    b = np.full(np.add(hits.shape, 2), no_hit)
-    label = b[1:-1, 1:-1, 1:-1]  # a view of b, whose border stays no_hit
-    label[hits] = flat
-    while True:
-        least = np.where(hits, np.minimum.reduce([
-            label, b[2:, 1:-1, 1:-1], b[:-2, 1:-1, 1:-1], b[1:-1, 2:, 1:-1],
-            b[1:-1, :-2, 1:-1], b[1:-1, 1:-1, 2:], b[1:-1, 1:-1, :-2]]), no_hit)
-        if np.array_equal(least, label):
-            break
-        label[...] = least
-    label = label[hits]
-    return tuple(tuple(np.flatnonzero(label == first).tolist())
-                 for first in flat[label == flat])
-
-
-def zero_locus_report(domain: PlanarDomain, grid: GridSpec,
+def zero_locus_report(domain: PlanarDomain | BoundaryPieces, grid: GridSpec,
                       quad: QuadratureConfig = QuadratureConfig(),
                       threshold: float | None = None, u_mode: str = "height",
                       threads: int = 1) -> ZeroLocusReport:
@@ -307,40 +249,24 @@ def zero_locus_report(domain: PlanarDomain, grid: GridSpec,
     The reported quantity is ``omega_norm / u^2``, which tends to a nonzero
     limit at the boundary plane (quadratic boundary expansion) but still
     vanishes at interior critical points, so near-boundary samples are
-    excluded automatically.  Each sub-threshold cluster is refined by the
-    Newton search; cross_referenced records whether clusters and refined
-    critical points match up one-to-one, and is False when any scan
-    evaluation did not converge.  ``threads`` is accepted and has no effect.
+    excluded automatically.  Each cluster of grid points below ``threshold``
+    (10 tol by default) seeds one Newton refinement at tolerance 10 tol, the
+    off-axis search of :func:`~tunnelvision.critical.almost_kahler_verdict`;
+    cross_referenced records whether every cluster refined, and is False
+    when any scan evaluation did not converge.  ``domain`` may be the
+    region's prepared boundary pieces.  ``threads`` has no effect.
     """
     if threshold is None:
         threshold = 10.0 * quad.tolerance
-    shape = tuple(len(axis) for axis in grid.axes())
-    table, record = form_norm_grid(domain, grid, quad, u_mode)
+    _, record, rows, clusters, refined = _zero_clusters(
+        boundary_pieces(domain), grid, quad, threshold, u_mode)
     nonconverged = int((~record.converged).sum())
-    hits = table[:, 4] < threshold
-    samples = tuple(FormSample(H3Point(x, y, z), omega, omega / SQRT2)
-                    for x, y, z, omega, _ in table[hits].tolist())
-    clusters = _clusters(hits.reshape(shape))
-
-    refined = []
-    refined_ok = []
-    refine_tol = 10.0 * quad.tolerance  # numerical-zero scale, not the
-    for comp in clusters:               # cluster-selection threshold
-        best = min(comp, key=lambda n: samples[n].omega_norm_g0)
-        try:
-            rep = refine_critical_point_3d(domain, samples[best].base,
-                                           refine_tol, quad)
-            refined.append(rep)
-            refined_ok.append(True)
-        except RefinementError:
-            refined_ok.append(False)
-    cross = (all(refined_ok) and len(refined) == len(clusters)
-             and nonconverged == 0)
     return ZeroLocusReport(
-        samples=samples,
-        clusters=tuple(clusters),
-        critical_points=tuple(refined),
-        cross_referenced=bool(cross),
+        samples=tuple(FormSample(H3Point(x, y, z), omega, omega / SQRT2)
+                      for x, y, z, omega, _ in rows),
+        clusters=clusters,
+        critical_points=tuple(filter(None, refined)),
+        cross_referenced=all(rep is not None for rep in refined) and nonconverged == 0,
         nonconverged_evaluations=nonconverged,
         threshold=float(threshold),
         u_mode=u_mode,

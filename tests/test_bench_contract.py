@@ -39,6 +39,11 @@ def test_traced_workload_calls(tracer):
     grid = critical.GridSpec(x=(0.2, 0.3, 2), y=(0.1, 0.2, 2), z=(0.3, 3.0, 3))
     critical.almost_kahler_verdict(d, grid, threads=2)
     forms.zero_locus_report(d, grid, threads=2)
+    # at tol 1e-4 the verdict's off-axis search runs Newton on dogbone(0.1)
+    critical.almost_kahler_verdict(
+        dogbone(0.1), critical.GridSpec(x=(-0.3, 0.3, 3), y=(-0.3, 0.3, 3),
+                                        z=(0.05, 5.0, 6)),
+        measure.QuadratureConfig(tolerance=1e-4))
     # the workloads no longer reach the ray integrand; the reference does
     measure.ray_quadrature(d, H3Point(0.0, 0.0, 1.0), 1e-9)
     names = {span[2] for span in tracer.spans}
@@ -49,6 +54,9 @@ def test_traced_workload_calls(tracer):
     verdicts = {span[0] for span in tracer.spans
                 if span[2] == "critical.almost_kahler_verdict"}
     assert any(span[2] == "critical.axis_critical_points" and span[1] in verdicts
+               for span in tracer.spans)
+    # and so does its Newton refinement, which the per-layer metrics count
+    assert any(span[2] == "critical.refine_critical_point_3d" and span[1] in verdicts
                for span in tracer.spans)
 
 

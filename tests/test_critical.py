@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -11,9 +12,11 @@ from tunnelvision.critical import (AxisProfile, GridSpec, RefinementError,
                                    axis_critical_points, axis_profile,
                                    dogbone_experiment, refine_critical_point_3d)
 from tunnelvision.domains import Disk, HalfPlane, Union, boundary_pieces, dogbone
+from tunnelvision.forms import zero_locus_report
 from tunnelvision.hyperbolic import H3Point
 from tunnelvision.measure import (QuadratureConfig, harmonic_measure,
                                   measure_with_gradient)
+from tunnelvision.runio import dump_json
 
 CFG = QuadratureConfig(tolerance=1e-9)
 REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
@@ -358,21 +361,36 @@ def test_refinement_builds_its_arrangement_once(arrangement_builds, dogbone01):
     assert arrangement_builds[0] == 1
 
 
-def test_verdict_builds_one_arrangement_per_refinement(arrangement_builds,
-                                                     dogbone01, monkeypatch):
-    refinements = [0]
+@pytest.fixture
+def refinements(monkeypatch):
+    """Count the ``refine_critical_point_3d`` calls, which the off-axis search makes by name."""
+    count = [0]
 
     def counted(*args, **kwargs):
-        refinements[0] += 1
+        count[0] += 1
         return refine_critical_point_3d(*args, **kwargs)
 
     monkeypatch.setattr(critical, "refine_critical_point_3d", counted)
-    # a loose tolerance raises the Newton threshold, so grid points refine
+    return count
+
+
+def test_verdict_builds_one_arrangement_per_refinement(arrangement_builds,
+                                                     dogbone01, refinements):
+    # a loose tolerance raises the cluster threshold, so grid points refine,
+    # all on the verdict's own arrangement
     almost_kahler_verdict(dogbone01, GridSpec(x=(-0.3, 0.3, 3), y=(-0.3, 0.3, 3),
                                               z=(0.05, 5.0, 6)),
                           QuadratureConfig(tolerance=1e-4))
     assert refinements[0] > 0
-    assert arrangement_builds[0] <= 2 + refinements[0]
+    assert arrangement_builds[0] == 1
+
+
+def test_zero_locus_refines_on_its_own_arrangement(arrangement_builds, dogbone01,
+                                                   refinements):
+    report = zero_locus_report(dogbone01, GridSpec.for_domain(dogbone01, 6),
+                               QuadratureConfig(tolerance=1e-4))
+    assert len(report.clusters) == refinements[0] == 1
+    assert arrangement_builds[0] == 1
 
 
 def test_loose_tolerance_verdict_reports_only_the_axis_pair(dogbone01):
@@ -456,14 +474,54 @@ REFINED_BITS = (["0x1.13efbb4408000p-29", "-0x1.46ec63ff40000p-31",
                 "0x1.3d5aaa779c1a3p-11")
 
 
+def _refined_bits(rep):
+    loc = rep.location
+    return ([float(v).hex() for v in (loc.x, loc.y, loc.z)],
+            rep.f_value.hex(), rep.f_error.hex(),
+            float(rep.grad_norm_hyperbolic).hex(),
+            rep.hessian_det.hex())
+
+
 def test_refinement_evaluates_each_candidate_with_its_stencil(measure_calls,
                                                               dogbone01):
     # the start point and two accepted candidates, each with its six-point
     # Hessian stencil in the same call
     rep = refine_critical_point_3d(dogbone01, H3Point(0.01, -0.02, 0.95), 1e-6)
     assert measure_calls[0] == 3
-    loc = rep.location
-    assert ([float(v).hex() for v in (loc.x, loc.y, loc.z)],
-            rep.f_value.hex(), rep.f_error.hex(),
-            float(rep.grad_norm_hyperbolic).hex(),
-            rep.hessian_det.hex()) == REFINED_BITS
+    assert _refined_bits(rep) == REFINED_BITS
+
+
+def test_refinement_on_prepared_pieces_builds_no_arrangement(measure_calls,
+                                                             arrangement_builds,
+                                                             dogbone01):
+    # prepared pieces are not built again, and give the domain's bits
+    pieces = boundary_pieces(dogbone01)
+    rep = refine_critical_point_3d(pieces, H3Point(0.01, -0.02, 0.95), 1e-6)
+    assert measure_calls[0] == 3
+    assert arrangement_builds[0] == 0
+    assert _refined_bits(rep) == REFINED_BITS
+
+
+# Recorded while the verdict seeded Newton at every grid point with z |grad f|
+# below 10 tol, and the zero-locus report ran its own cluster search (numpy
+# 2.4, x86-64): sha256 of the verdict's and the report's JSON for dogbone(0.1)
+# on its grid of 8.
+SEARCH_SHA256 = {
+    1e-7: ("95f304b17c701aad393b41c781307f84f3a4ffe6b89d81d20e0ae2a1b6051a76",
+           "12f6124a3699adf10fbed785360799f713c4c978492c0d28cf14388677525562"),
+    1e-4: ("cd72b72abdb5cf33c19e0c4b31e948bfe0cb4a0418a0c06ae965d938b11dcfe8",
+           "c5b7fcd4a3a7c0112ba1e6890d63049db8d1479cfa8df7bfe3282536ad4c8816"),
+}
+
+
+@pytest.mark.parametrize("tol", sorted(SEARCH_SHA256))
+def test_verdict_and_zero_locus_keep_their_bits(dogbone01, refinements, tol):
+    grid = GridSpec.for_domain(dogbone01, 8)
+    config = QuadratureConfig(tolerance=tol)
+    verdict = almost_kahler_verdict(dogbone01, grid, config)
+    newton_runs = refinements[0]
+    zeros = zero_locus_report(dogbone01, grid, config)
+    assert tuple(hashlib.sha256(dump_json(r.to_obj()).encode()).hexdigest()
+                 for r in (verdict, zeros)) == SEARCH_SHA256[tol]
+    # the verdict runs Newton once per zero-locus cluster
+    assert newton_runs == len(zeros.clusters) == (1 if tol == 1e-4 else 0)

@@ -4,9 +4,9 @@ from collections import deque
 import numpy as np
 import pytest
 
-from tunnelvision.critical import GridSpec
+from tunnelvision.critical import GridSpec, _clusters
 from tunnelvision.domains import Disk, HalfPlane
-from tunnelvision.forms import (FormSample, form_norm_grid, _clusters,
+from tunnelvision.forms import (FormSample, form_norm_grid,
                                 _hodge_star_matrix, boundary_expansion_check,
                                 sd_form_norm, selfdual_algebra_check,
                                 zero_locus_report)
