@@ -383,9 +383,8 @@ def dogbone_experiment(epsilon: float,
     """
     pieces = boundary_pieces(dogbone(epsilon))
     f_eps, f_one = measure_many(pieces, _axis_points([epsilon, 1.0]), config)
-    separated = (f_eps.value + f_eps.error < f_one.value - f_one.error
-                 or f_one.value + f_one.error < f_eps.value - f_eps.error)
     holds = f_eps.value + f_eps.error < f_one.value - f_one.error
+    separated = holds or f_one.value + f_one.error < f_eps.value - f_eps.error
     window = (epsilon**2, 10.0)
     profile = axis_profile(pieces, window[0], window[1], n_samples, config)
     cps = axis_critical_points(profile, pieces, refine_tol, config)
@@ -393,7 +392,7 @@ def dogbone_experiment(epsilon: float,
         epsilon=epsilon,
         f_at_eps=f_eps,
         f_at_one=f_one,
-        inequality_holds=bool(holds and separated),
+        inequality_holds=bool(holds),
         inconclusive=not (separated and f_eps.converged and f_one.converged
                           and profile.converged.all()),
         critical_points=tuple(cps),

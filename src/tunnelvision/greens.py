@@ -332,8 +332,7 @@ def quantization_sum(domain: PlanarDomain, config: PointConfiguration,
 
 def _interior_feet(domain: PlanarDomain, k: int) -> list[complex]:
     """k distinct interior boundary-plane points near the origin's neighborhood."""
-    r = domain.bounding_radius
-    scale = r if math.isfinite(r) else 1.0
+    scale = domain.bounding_radius  # finite: find_quantizable checks it
     candidates = [0j]
     for frac in (0.05, 0.1, 0.02, 0.2, 0.01, 0.4):
         for j in range(8):

@@ -374,8 +374,11 @@ def enumerate_group(generators: list[GroupElement],
 
     ``generators`` are those of :func:`side_pairing_generators`.  Ordered by
     shell, then parent word, then letter (a1, A1, b1, B1, ...); includes the
-    identity.  The matrices are renormalized by :class:`MobiusMap`'s rule,
-    bit for bit.  Raises DedupCollisionError if roundoff makes two orbit
+    identity.  Each matrix is ``MobiusMap(*row).matrix()`` of its raw
+    product, bit for bit: :func:`renormalize_batch` keeps the rows whose
+    numpy determinant lies inside half the rule's threshold (all rows of
+    the records measured, to genus 2 depth 7) and sends the rest through
+    :class:`MobiusMap`.  Raises DedupCollisionError if roundoff makes two orbit
     points neither equal nor separated.
     """
     if max_word_length < 0:

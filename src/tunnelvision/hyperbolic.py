@@ -304,46 +304,23 @@ def apply_h3_batch(mats: np.ndarray, p: H3Point) -> np.ndarray:
     return out
 
 
-def _mul(xr, xi, yr, yi):
-    """CPython's complex product in real arithmetic (numpy's may fuse)."""
-    return xr * yr - xi * yi, xr * yi + xi * yr
-
-
 def renormalize_batch(mats: np.ndarray) -> None:
     """Renormalize a complex (n, 2, 2) stack in place by :class:`MobiusMap`'s rule.
 
-    Rows with |det - 1| > max(1e-12, 16 eps (|a||d| + |b||c|)) are divided
-    by sqrt(det); the others are kept, so a second pass changes nothing.
-    Each step is CPython's complex arithmetic spelled out in floats
-    (the product, ``cmath.sqrt`` away from subnormals, the quotient
-    1/sqrt(det)), so every row ends bit-identical to
-    ``MobiusMap(*row).matrix()``.
+    Every row ends bit-identical to ``MobiusMap(*row).matrix()``.  A row
+    whose numpy |det - 1| exceeds half the rule's threshold, half of
+    max(1e-12, 16 eps (|a||d| + |b||c|)), is replaced by that matrix, so a
+    singular row raises ValueError (unless |a||d| + |b||c| > 1/(8 eps)).
+    Every other row is kept, as the rule keeps it: numpy's determinant, whose
+    complex products may fuse multiply-adds, differs from CPython's by a few
+    eps (|a||d| + |b||c|), inside the other half.  Enumerated records keep
+    every row, so the loop over replaced rows does not run there, and a
+    second pass changes nothing.
     """
     if mats.dtype != complex or mats.shape[1:] != (2, 2):
         raise TypeError("need a complex (n, 2, 2) array")
     a, b, c, d = mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1]
-    adr, adi = _mul(a.real, a.imag, d.real, d.imag)
-    bcr, bci = _mul(b.real, b.imag, c.real, c.imag)
-    det_r, det_i = adr - bcr, adi - bci
-    if np.any((det_r == 0.0) & (det_i == 0.0)):
-        raise ValueError("singular matrix is not a Mobius map")
     size = np.abs(a) * np.abs(d) + np.abs(b) * np.abs(c)
-    need = np.hypot(det_r - 1.0, det_i) > np.maximum(_DET_TOL, _DET_ROUNDING * size)
-    det_r, det_i = det_r[need], det_i[need]
-    ax, ay = np.abs(det_r) / 8.0, np.abs(det_i)
-    big = 2.0 * np.sqrt(ax + np.hypot(ax, ay / 8.0))
-    small = ay / (2.0 * big)
-    right = det_r >= 0.0
-    sr = np.where(right, big, small)
-    si = np.copysign(np.where(right, small, big), det_i)
-    # 1/sqrt(det), dividing through by the larger part as CPython does
-    wide = np.abs(sr) >= np.abs(si)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(wide, si / sr, sr / si)
-    denom = np.where(wide, sr + si * ratio, sr * ratio + si)
-    qr = np.where(wide, 1.0, ratio + 0.0) / denom
-    qi = np.where(wide, 0.0 - ratio, -1.0) / denom
-    rows = np.flatnonzero(need)
-    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):  # small temporaries
-        e = mats[rows, i, j]
-        mats.real[rows, i, j], mats.imag[rows, i, j] = _mul(e.real, e.imag, qr, qi)
+    drift = np.abs(a * d - b * c - 1.0)
+    for i in np.flatnonzero(drift > 0.5 * np.maximum(_DET_TOL, _DET_ROUNDING * size)):
+        mats[i] = MobiusMap(*mats[i].ravel().tolist()).matrix()

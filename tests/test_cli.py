@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 import tunnelvision
+from tunnelvision import (DiskPoint, enumerate_group, orbit_cloud,
+                          side_pairing_generators)
 from tunnelvision.cli import main
 from tunnelvision.runio import dump_json
 
@@ -255,18 +257,28 @@ def test_critical_grid_n_below_two(disk_json, tmp_path, capsys):
         assert "--grid-n" in capsys.readouterr().err
 
 
-def test_group_cli(tmp_path):
-    rc = main(["group", "--genus", "2", "--depth", "3", "--mode", "limitset",
+@pytest.mark.parametrize("mode", ["limitset", "orbit"])
+def test_group_cli(tmp_path, mode):
+    rc = main(["group", "--genus", "2", "--depth", "3", "--mode", mode,
                "--out-dir", str(tmp_path)])
     assert rc == 0
-    rows = (tmp_path / "limitset.csv").read_text().strip().split("\n")
+    rows = (tmp_path / f"{mode}.csv").read_text().strip().split("\n")
     assert rows[0].startswith("re [disk coords]")
-    pts = np.array([complex(float(r.split(",")[0]), float(r.split(",")[1]))
-                    for r in rows[1:]])
-    assert np.allclose(np.abs(pts), 1.0, atol=1e-9)
+    cells = [r.split(",") for r in rows[1:]]
+    pts = np.array([complex(float(re_), float(im)) for re_, im, _ in cells])
+    lengths = np.array([int(n) for _, _, n in cells])
+    if mode == "limitset":
+        assert np.allclose(np.abs(pts), 1.0, atol=1e-9)
+        assert np.all(lengths == 3)
+    else:
+        # 17-digit cells round-trip: the orbit of 0, exactly
+        elements = enumerate_group(side_pairing_generators(2), 3)
+        assert len(pts) == 457
+        assert np.array_equal(lengths, elements.lengths)
+        assert np.array_equal(pts, orbit_cloud(elements, DiskPoint(0j)))
 
 
-def test_green_cli(tmp_path):
+def test_green_cli(tmp_path, capsys):
     rc = main(["green", "flux", "--pole", "0", "0", "1", "--radius", "0.5",
                "--n", "32", "--out-dir", str(tmp_path)])
     assert rc == 0
@@ -290,6 +302,17 @@ def test_green_cli(tmp_path):
 
     assert main(["green", "eval", "--pole", "0", "0", "1",
                  "--out-dir", str(tmp_path)]) == 1  # missing --point
+
+    # a point on the pole, or on one of its orbit points: exit 1, no output
+    for mode, extra, message in (
+            ("eval", [], "of the pole"),
+            ("quotient", ["--shells", "2"], "of an orbit point")):
+        out = tmp_path / mode
+        rc = main(["green", mode, "--pole", "0", "0", "1", "--point", "0", "0",
+                   "1", *extra, "--out-dir", str(out)])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not (out / "green.json").exists()
 
 
 def test_quantize_cli(dogbone_json, tmp_path):

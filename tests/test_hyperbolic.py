@@ -7,7 +7,8 @@ from scipy.optimize import minimize
 
 from tunnelvision.hyperbolic import (INFINITY, DiskPoint, H3Point, MobiusMap,
                                      disk_distance, disk_to_h3, h3_distance,
-                                     h3_distance_batch, laplace_beltrami)
+                                     h3_distance_batch, laplace_beltrami,
+                                     renormalize_batch)
 
 finite = st.floats(-5.0, 5.0, allow_nan=False)
 heights = st.floats(0.05, 20.0, allow_nan=False)
@@ -144,6 +145,40 @@ def test_mobius_normalization():
     assert abs(m.a * m.d - m.b * m.c - 1.0) < 1e-12
     with pytest.raises(ValueError):
         MobiusMap(1.0, 1.0, 1.0, 1.0)
+
+
+def test_renormalize_batch_matches_mobius_rule():
+    # unit-determinant rows with |b||c| from 0.01 to 3000, so the rule's
+    # threshold max(1e-12, 16 eps (|a||d| + |b||c|)) is in both regimes;
+    # each row is scaled to |det - 1| ~ delta * threshold, delta in [0, 3)
+    rng = np.random.default_rng(24)
+    n = 4000
+
+    def phase():
+        return np.exp(2j * np.pi * rng.random(n))
+
+    a = 10.0 ** rng.uniform(-1, 1, n) * phase()
+    b = 10.0 ** rng.uniform(-2, 3.5, n) * phase()
+    c = 10.0 ** rng.uniform(-2, 3.5, n) / np.abs(b) * phase()
+    d = (1.0 + b * c) / a
+    size = np.abs(a) * np.abs(d) + np.abs(b) * np.abs(c)
+    threshold = np.maximum(1e-12, 16 * np.finfo(float).eps * size)
+    assert (size < 280).any() and (size > 280).any()
+    scale = np.sqrt(1.0 + rng.uniform(0, 3, n) * threshold * phase())
+    rows = np.stack([a, b, c, d], axis=1) * scale[:, None]
+    mats = rows.reshape(-1, 2, 2).copy()
+    renormalize_batch(mats)
+    expected = np.array([MobiusMap(*row).matrix() for row in rows.tolist()])
+    assert np.array_equal(mats.view(np.uint64), expected.view(np.uint64))
+    changed = (mats.reshape(-1, 4) != rows).any(axis=1)
+    assert changed.any() and not changed.all()
+    again = mats.copy()
+    renormalize_batch(again)
+    assert np.array_equal(again.view(np.uint64), mats.view(np.uint64))
+    with pytest.raises(ValueError):
+        renormalize_batch(np.array([[[1, 2], [2, 4]]], dtype=complex))
+    with pytest.raises(TypeError):
+        renormalize_batch(np.eye(2)[None])
 
 
 def test_mobius_h3_basic():
