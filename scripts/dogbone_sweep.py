@@ -18,14 +18,14 @@ from tunnelvision.measure import QuadratureConfig
 from tunnelvision.runio import write_csv
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="dogbone_sweep.csv")
     ap.add_argument("--tol", type=float, default=1e-9)
     ap.add_argument("--samples", type=int, default=160)
     ap.add_argument("--eps", type=float, nargs="*",
                     default=[0.05, 0.08, 0.1, 0.15, 0.2, 0.3, 0.4, 0.45])
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     cfg = QuadratureConfig(tolerance=args.tol)
     rows = []

@@ -33,12 +33,12 @@ def hausdorff_distance(a, b) -> float:
     return float(max(cKDTree(pb).query(pa)[0].max(), cKDTree(pa).query(pb)[0].max()))
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--genus", type=int, default=2)
     ap.add_argument("--max-depth", type=int, default=6)
     ap.add_argument("--out", default="limit_set_study.csv")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     circle = np.exp(2j * np.pi * np.linspace(0, 1, 40000, endpoint=False))
     rows = []

@@ -65,7 +65,7 @@ def _load_domain(path):
                        f"column {exc.colno}: {exc.msg}")
     try:
         return domain_from_obj(obj)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise CliError(f"invalid domain specification in {path}: {exc}")
 
 
@@ -216,7 +216,7 @@ def cmd_quantize(args):
         raise CliError(f"--ell must satisfy 1 <= ell <= k-1, got {args.ell}")
     config = _config(args)
     pts = find_quantizable(domain, args.k, args.ell, config)
-    qr = quantization_sum(domain, pts, config)
+    qr = quantization_sum(pts)
     path = _out(args, "configuration.json")
     runio.write_json(path, pts.to_obj(ell=qr.ell, total=qr.total))
     return (EXIT_OK if qr.is_quantizable and qr.converged else EXIT_INCONCLUSIVE,

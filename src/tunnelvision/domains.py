@@ -22,6 +22,7 @@ which is the CLI's input contract.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 
@@ -91,8 +92,9 @@ class Disk(PlanarDomain):
     radius: float
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError(f"disk radius must be positive, got {self.radius}")
+        if not (cmath.isfinite(self.center) and 0 < self.radius < math.inf):
+            raise ValueError("disk needs a finite center and a finite positive "
+                             f"radius, got {self.center}, {self.radius}")
 
     def contains(self, zeta):
         return np.abs(np.asarray(zeta) - self.center) < self.radius
@@ -146,8 +148,9 @@ class HalfPlane(PlanarDomain):
 
     def __post_init__(self):
         n = abs(self.normal)
-        if n == 0:
-            raise ValueError("half-plane normal must be nonzero")
+        if not (0 < n < math.inf and math.isfinite(self.offset)):
+            raise ValueError("half-plane needs a finite nonzero normal and a finite "
+                             f"offset, got {self.normal}, {self.offset}")
         if abs(n - 1.0) > 1e-12:
             object.__setattr__(self, "normal", self.normal / n)
 
@@ -204,6 +207,8 @@ class SimplePolygon(PlanarDomain):
         n = len(verts)
         if n < 3:
             raise ValueError("polygon needs at least 3 vertices")
+        if not all(map(cmath.isfinite, verts)):
+            raise ValueError("polygon vertices must be finite")
         area2 = sum((verts[i].real * verts[(i + 1) % n].imag
                      - verts[(i + 1) % n].real * verts[i].imag) for i in range(n))
         if abs(area2) < 1e-300:
@@ -585,6 +590,12 @@ def boundary_pieces(domain: PlanarDomain | BoundaryPieces) -> BoundaryPieces:
 _OPS = {"union": Union, "intersection": Intersection, "difference": Difference}
 
 
+def _complex(xy) -> complex:
+    if not (isinstance(xy, (list, tuple)) and len(xy) == 2):
+        raise ValueError(f"a coordinate list needs two numbers, got {xy!r}")
+    return complex(xy[0], xy[1])
+
+
 def domain_from_obj(obj) -> PlanarDomain:
     """Parse the tagged-union JSON tree into a domain."""
     if not isinstance(obj, dict) or len(obj) == 0:
@@ -599,13 +610,12 @@ def domain_from_obj(obj) -> PlanarDomain:
         return _OPS[op](*args)
     if "disk" in obj:
         d = obj["disk"]
-        return Disk(complex(d["c"][0], d["c"][1]), float(d["r"]))
+        return Disk(_complex(d["c"]), float(d["r"]))
     if "halfplane" in obj:
         h = obj["halfplane"]
-        return HalfPlane(complex(h["n"][0], h["n"][1]), float(h["offset"]))
+        return HalfPlane(_complex(h["n"]), float(h["offset"]))
     if "polygon" in obj:
-        verts = tuple(complex(v[0], v[1]) for v in obj["polygon"]["vertices"])
-        return SimplePolygon(verts)
+        return SimplePolygon(tuple(map(_complex, obj["polygon"]["vertices"])))
     if "dogbone" in obj:
         return dogbone(float(obj["dogbone"]["eps"]))
     raise ValueError(f"unknown domain node: {sorted(obj)!r}")

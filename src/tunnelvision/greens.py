@@ -29,7 +29,7 @@ from .domains import PlanarDomain, boundary_pieces
 from .groups import GroupElements
 from .hyperbolic import (H3Point, apply_h3_batch, geodesic_point, h3_distance,
                          h3_distance_batch, MobiusMap)
-from .measure import QuadratureConfig, measure_many
+from .measure import MeasureValues, QuadratureConfig, measure_many
 
 __all__ = [
     "PointConfiguration",
@@ -59,17 +59,18 @@ _MIN_POLE_DISTANCE = 1e-8
 
 @dataclass(frozen=True)
 class PointConfiguration:
-    """k distinct points with optional group, cached measure values and flags.
+    """k distinct points, an optional group and optional measured values.
 
     ``group`` is kept as a :class:`GroupElements` record (a sequence of
-    elements is converted by :meth:`GroupElements.of`).
+    elements is converted by :meth:`GroupElements.of`).  ``f`` is the
+    :class:`~tunnelvision.measure.MeasureValues` record of the points, one
+    row per point and in their order, with every value strictly in (0, 1);
+    :func:`find_quantizable` fills it and :func:`quantization_sum` reads it.
     """
 
     points: tuple
     group: GroupElements | None = None
-    f_values: tuple | None = None
-    f_errors: tuple | None = None
-    f_converged: tuple | None = None
+    f: MeasureValues | None = None
 
     def __post_init__(self):
         pts = tuple(self.points)
@@ -78,24 +79,18 @@ class PointConfiguration:
             for j in range(i + 1, len(pts)):
                 if h3_distance(pts[i], pts[j]) <= 0.0:
                     raise ValueError("configuration points must be distinct")
-        for name in ("f_values", "f_errors", "f_converged"):
-            if getattr(self, name) is not None and len(getattr(self, name)) != len(pts):
-                raise ValueError(f"{name} needs one entry per point")
-        if self.f_values is not None:
-            vals = tuple(float(v) for v in self.f_values)
-            object.__setattr__(self, "f_values", vals)
-            if any(not 0.0 < v < 1.0 for v in vals):
+        if self.f is not None:
+            if len(self.f) != len(pts):
+                raise ValueError("f needs one row per point")
+            if not ((self.f.values > 0.0) & (self.f.values < 1.0)).all():
                 raise ValueError("measure values must lie strictly in (0, 1)")
         if self.group is not None:
             object.__setattr__(self, "group", GroupElements.of(self.group))
 
-    def __len__(self):
-        return len(self.points)
-
     def to_obj(self, ell: int | None = None, total: float | None = None):
         obj = {"points": [[p.x, p.y, p.z] for p in self.points]}
-        if self.f_values is not None:
-            obj["f"] = list(self.f_values)
+        if self.f is not None:
+            obj["f"] = self.f.values.tolist()
         if ell is not None:
             obj["ell"] = ell
         if total is not None:
@@ -105,23 +100,23 @@ class PointConfiguration:
 
 @dataclass(frozen=True)
 class SeriesValue:
-    """A truncated shell series: partial sum, shells used, tail estimate."""
+    """A truncated shell series: partial sum, tail estimate and ``shell_sums[n]``,
+    the sum over the words of length n (``len(shell_sums) - 1`` shells used)."""
 
     value: float
-    shells_used: int
     tail_estimate: float
     shell_sums: tuple = ()
 
 
 @dataclass(frozen=True)
 class QuantizationResult:
+    """A configuration's measure-value sum, its nearest integer ``ell``, the
+    verdict, and whether every value's error bound met its tolerance."""
+
     total: float
     ell: int
     is_quantizable: bool
-    tol: float
-    f_values: tuple
-    f_errors: tuple
-    converged: bool = True
+    converged: bool
 
 
 def h3_green(pole: H3Point, q: H3Point) -> float:
@@ -272,9 +267,9 @@ def quotient_green(elements, pole_lift: H3Point, q: H3Point,
     sums = _shell_sums(elements.matrices[:n], elements.lengths[:n], pole_lift, q)
     value = math.fsum(sums)
     if len(sums) == 1:
-        return SeriesValue(value, 0, 0.0, tuple(sums))
+        return SeriesValue(value, 0.0, tuple(sums))
     if len(sums) < 3:
-        return SeriesValue(value, len(sums) - 1, sums[-1], tuple(sums))
+        return SeriesValue(value, sums[-1], tuple(sums))
     r1 = sums[-2] / sums[-3] if sums[-3] > 0 else math.inf
     r2 = sums[-1] / sums[-2] if sums[-2] > 0 else math.inf
     ratio = max(r1, r2)
@@ -283,7 +278,7 @@ def quotient_green(elements, pole_lift: H3Point, q: H3Point,
             f"shell sums do not decay (ratio {ratio:.3f}); "
             "series truncation is meaningless here")
     tail = sums[-1] * ratio / (1.0 - ratio)
-    return SeriesValue(value, len(sums) - 1, tail, tuple(sums))
+    return SeriesValue(value, tail, tuple(sums))
 
 
 def potential_V(config: PointConfiguration, q: H3Point, shells: int = 6) -> float:
@@ -302,32 +297,23 @@ def potential_V(config: PointConfiguration, q: H3Point, shells: int = 6) -> floa
     return total
 
 
-def quantization_sum(domain: PlanarDomain, config: PointConfiguration,
-                     config_q: QuadratureConfig = QuadratureConfig(),
+def quantization_sum(config: PointConfiguration,
                      tol: float = 1e-8) -> QuantizationResult:
-    """Sum the harmonic-measure values over the configuration and test integrality.
+    """Sum the configuration's measure values and test integrality.
 
-    Quantizable means the sum is within ``tol`` of an integer ell with
-    0 < ell < k.  A single point can never be quantizable: its value lies
-    strictly between 0 and 1.  ``converged`` is False when a value's error
-    bound exceeds its tolerance (unflagged cached values pass).
+    Reads ``config.f`` (as :func:`find_quantizable` fills it) and raises
+    ValueError when it is None.  Quantizable means the sum is within ``tol``
+    of an integer ell with 0 < ell < k.  A single point can never be
+    quantizable: its value lies strictly between 0 and 1.
     """
-    if config.f_values is not None:
-        values = list(config.f_values)
-        errors = list(config.f_errors or (0.0,) * len(values))
-        converged = all(config.f_converged or ())
-    else:
-        record = measure_many(domain, config.points, config_q)
-        values = record.values.tolist()
-        errors = record.errors.tolist()
-        converged = bool(record.converged.all())
-    total = math.fsum(values)
+    if config.f is None:
+        raise ValueError("configuration carries no measure values")
+    total = math.fsum(config.f.values.tolist())
     ell = round(total)
     quantizable = abs(total - ell) < tol and 0 < ell < len(config.points)
     return QuantizationResult(total=total, ell=int(ell),
-                              is_quantizable=bool(quantizable), tol=tol,
-                              f_values=tuple(values), f_errors=tuple(errors),
-                              converged=converged)
+                              is_quantizable=bool(quantizable),
+                              converged=bool(config.f.converged.all()))
 
 
 def _interior_feet(domain: PlanarDomain, k: int) -> list[complex]:
@@ -430,8 +416,4 @@ def find_quantizable(domain: PlanarDomain, k: int, ell: int,
     feet = _interior_feet(domain, k)
     points = tuple(H3Point(foot.real, foot.imag, z) for foot, z in
                    zip(feet, _solve_levels(pieces, feet, targets, tight)))
-    record = measure_many(pieces, points, tight)
-    return PointConfiguration(points=points,
-                              f_values=tuple(record.values.tolist()),
-                              f_errors=tuple(record.errors.tolist()),
-                              f_converged=tuple(record.converged.tolist()))
+    return PointConfiguration(points, f=measure_many(pieces, points, tight))

@@ -19,8 +19,9 @@ from tunnelvision.greens import (PointConfiguration, find_quantizable,
 from tunnelvision.groups import (limit_set_sample, min_genus, regular_polygon,
                                  side_pairing_generators, surface_relator)
 from tunnelvision.hyperbolic import H3Point, laplace_beltrami
-from tunnelvision.measure import (QuadratureConfig, disk_closed_form,
-                                  halfplane_closed_form, harmonic_measure)
+from tunnelvision.measure import (MeasureValues, QuadratureConfig,
+                                  disk_closed_form, halfplane_closed_form,
+                                  harmonic_measure)
 
 
 def _report(num, name):
@@ -166,11 +167,11 @@ def test_criterion_10_quantization():
     domain = dogbone(0.1)
     cfg = QuadratureConfig(tolerance=1e-9)
     for f_val in (0.2, 0.5, 1.0 - 1e-9):
-        single = PointConfiguration(points=(H3Point(0, 0, 1),),
-                                    f_values=(f_val,))
-        assert not quantization_sum(domain, single, cfg).is_quantizable
+        single = PointConfiguration(points=(H3Point(0, 0, 1),), f=MeasureValues(
+            np.array([f_val]), np.zeros(1), np.ones(1, dtype=bool)))
+        assert not quantization_sum(single).is_quantizable
     config = find_quantizable(domain, 2, 1, cfg)
-    result = quantization_sum(domain, config, cfg)
+    result = quantization_sum(config)
     assert abs(result.total - 1.0) < 1e-8
     assert result.is_quantizable and result.ell == 1
     _report(10, "quantization condition")

@@ -92,6 +92,45 @@ def test_usage_error_is_exit_1(capsys):
     assert main(["dogbone", "--eps", "-1"]) == 1
 
 
+@pytest.mark.parametrize("spec", [
+    '{"halfplane": {"n": [1e400, 1], "offset": 0}}',
+    '{"halfplane": {"n": [1, 0], "offset": 1e400}}',
+    '{"halfplane": {"n": [1.5e308, 1.5e308], "offset": 0}}',  # |n| overflows
+    '{"disk": {"c": [1e400, 0], "r": 1}}',
+    '{"disk": {"c": [0, 0], "r": 1e400}}',
+    '{"disk": {"c": [0], "r": 1}}',
+    '{"polygon": {"vertices": [[0, 0], [1e400, 0], [0, 1]]}}',
+    '{"polygon": {"vertices": [[0, 0], [1], [0, 1]]}}',
+])
+def test_measure_rejects_nonfinite_or_malformed_domain(spec, tmp_path, capsys):
+    # unchecked, an infinite normal normalizes to nan and measure prints a
+    # wrong "0 0" with exit 0; the others fail inside the evaluation
+    path = tmp_path / "bad.json"
+    path.write_text(spec)
+    out = tmp_path / "out"
+    rc = main(["measure", "--domain", str(path), "--point", "0", "0", "1",
+               "--out-dir", str(out)])
+    assert rc == 1
+    assert "invalid domain specification" in capsys.readouterr().err
+    assert not (out / "measure.manifest.json").exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["group", "--genus", "1", "--depth", "2"], "--genus"),
+    (["group", "--genus", "2", "--depth", "0"], "--depth"),
+    (["quantize", "--k", "1", "--ell", "1"], "--k"),
+    (["measure", "--point", "0", "0", "-1"], "height must be positive"),
+])
+def test_invalid_arguments_exit_1_without_manifest(args, message, disk_json,
+                                                   tmp_path, capsys):
+    if args[0] != "group":
+        args = [*args, "--domain", disk_json]
+    out = tmp_path / "out"
+    assert main([*args, "--out-dir", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_polygon_output(tmp_path):
     rc = main(["polygon", "--genus", "2", "--out-dir", str(tmp_path)])
     assert rc == 0

@@ -406,6 +406,50 @@ def test_loose_tolerance_verdict_reports_only_the_axis_pair(dogbone01):
                                  QuadratureConfig(tolerance=1e-4))
 
 
+def _grid_around(p: H3Point, h: float = 0.01, z_factor: float = 1.1) -> GridSpec:
+    """A 3 x 3 x 3 grid whose middle point is p."""
+    return GridSpec(x=(p.x - h, p.x + h, 3), y=(p.y - h, p.y + h, 3),
+                    z=(p.z / z_factor, p.z * z_factor, 3))
+
+
+def test_verdict_appends_an_off_axis_critical_point(refinements):
+    # the lopsided union's axis minimum is not a critical point: Newton from
+    # it lands off the axis.  A grid point on that critical point makes it a
+    # cluster seed, and the verdict appends the refined report
+    region = Union(Disk(1, 0.26), Disk(-1, 0.25), dogbone(0.1))
+    profile = axis_profile(region, 0.05, 10.0, 200)
+    axis_min = axis_critical_points(profile, region)[0]
+    assert axis_min.classification == "axis-min" and not axis_min.conclusive
+    p = refine_critical_point_3d(region, axis_min.location, 1e-6).location
+    assert p.x == pytest.approx(-0.008993, abs=1e-6) and abs(p.y) < 1e-12
+    assert p.z == pytest.approx(0.155947, abs=1e-6)
+    refinements[0] = 0
+    verdict = almost_kahler_verdict(region, _grid_around(H3Point(p.x, 0.0, p.z)))
+    assert refinements[0] == 1
+    assert verdict.status == "critical_points_found"
+    assert [(r.classification, r.conclusive) for r in verdict.reports] == \
+        [("axis-min", False), ("3d-refined", True)]
+    assert verdict.reports[1].location == H3Point(p.x, 0.0, p.z)
+
+
+def test_verdict_drops_a_refined_point_on_an_axis_report(dogbone01, refinements,
+                                                        monkeypatch):
+    # Newton from the grid's middle converges onto the axis maximum, which
+    # the axis search already reports; the duplicate is dropped
+    close = []
+
+    def recording(p, q, close_to=critical._close):
+        close.append(close_to(p, q))
+        return close[-1]
+
+    monkeypatch.setattr(critical, "_close", recording)
+    verdict = almost_kahler_verdict(dogbone01, _grid_around(H3Point(0.0, 0.0, 0.9496)))
+    assert refinements[0] == 1
+    assert close == [True]
+    assert [(r.classification, r.conclusive) for r in verdict.reports] == \
+        [("axis-max", True)]
+
+
 # -- lockstep solves: fewer evaluation calls, the same bits --------------------------
 
 # Recorded before the brackets were solved in lockstep (numpy 2.4, x86-64):

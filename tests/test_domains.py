@@ -191,6 +191,35 @@ def test_json_rejects_malformed():
         domain_from_obj({"op": "difference", "args": [{"dogbone": {"eps": 0.1}}]})
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Disk(complex(math.inf, 0.0), 1.0),
+    lambda: Disk(complex(0.0, math.nan), 1.0),
+    lambda: Disk(0j, math.inf),
+    lambda: Disk(0j, math.nan),
+    lambda: HalfPlane(complex(math.inf, 1.0), 0.0),
+    lambda: HalfPlane(1j, -math.inf),
+    lambda: HalfPlane(1j, math.nan),
+    lambda: SimplePolygon((0j, complex(math.inf, 0.0), 1j)),
+    lambda: SimplePolygon((0j, 1 + 0j, complex(0.0, math.nan))),
+])
+def test_primitives_reject_nonfinite_parameters(build):
+    with pytest.raises(ValueError, match="finite"):
+        build()
+
+
+@pytest.mark.parametrize("obj", [
+    {"halfplane": {"n": [1e400, 1], "offset": 0}},
+    {"disk": {"c": [0], "r": 1}},
+    {"disk": {"c": [0, 0, 0], "r": 1}},
+    {"disk": {"c": 0, "r": 1}},
+    {"halfplane": {"n": [1], "offset": 0}},
+    {"polygon": {"vertices": [[0, 0], [1], [0, 1]]}},
+])
+def test_json_rejects_nonfinite_or_malformed_coordinates(obj):
+    with pytest.raises(ValueError):
+        domain_from_obj(obj)
+
+
 def test_domain_json_schema(dogbone01):
     jsonschema = pytest.importorskip("jsonschema")
     import tunnelvision

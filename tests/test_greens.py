@@ -12,9 +12,18 @@ from tunnelvision.greens import (NonConvergentSeriesError, PoleCollisionError,
                                  quantization_sum, quotient_green)
 from tunnelvision.groups import enumerate_group
 from tunnelvision.hyperbolic import H3Point, h3_distance, laplace_beltrami
-from tunnelvision.measure import QuadratureConfig
+from tunnelvision.measure import MeasureValues, QuadratureConfig
 
 CFG = QuadratureConfig(tolerance=1e-9)
+
+
+def _measured(*values, errors=None, converged=None):
+    """A MeasureValues record of the given values (exact and converged by default)."""
+    n = len(values)
+    return MeasureValues(np.array(values, dtype=float),
+                         np.zeros(n) if errors is None else np.array(errors),
+                         np.ones(n, dtype=bool) if converged is None
+                         else np.array(converged))
 
 
 def test_green_term_formula():
@@ -84,7 +93,7 @@ def test_quotient_trivial_group_equals_free_green(genus2_generators):
     sv = quotient_green(identity_only, pole, q, 0)
     assert sv.value == pytest.approx(h3_green(pole, q), abs=1e-15)
     assert sv.tail_estimate == 0.0
-    assert sv.shells_used == 0
+    assert sv.shell_sums == (sv.value,)
 
 
 @pytest.fixture(scope="module")
@@ -268,34 +277,40 @@ def test_configuration_validation():
     with pytest.raises(ValueError):
         PointConfiguration(points=(H3Point(0, 0, 1), H3Point(0, 0, 1)))
     with pytest.raises(ValueError):
-        PointConfiguration(points=(H3Point(0, 0, 1),), f_values=(1.5,))
+        PointConfiguration(points=(H3Point(0, 0, 1),), f=_measured(1.5))
 
 
-def test_configuration_rejects_short_flags():
+def test_configuration_carries_one_record():
     pts = (H3Point(0, 0, 1), H3Point(1, 0, 1))
-    for field in ("f_errors", "f_converged", "f_values"):
-        with pytest.raises(ValueError, match=field):
-            PointConfiguration(points=pts, **{"f_values": (0.5, 0.5), field: (0.5,)})
-    full = PointConfiguration(points=pts, f_values=(0.5, 0.5), f_errors=(1e-9, 1e-9),
-                              f_converged=(True, True))
-    assert quantization_sum(Disk(0, 1.0), full, CFG).f_errors == (1e-9, 1e-9)
+    with pytest.raises(ValueError, match="one row per point"):
+        PointConfiguration(points=pts, f=_measured(0.5))
+    record = _measured(0.5, 0.5, errors=(1e-9, 1e-9), converged=(True, False))
+    config = PointConfiguration(points=pts, f=record)
+    assert config.f is record
+    assert config.to_obj(ell=1, total=1.0) == {
+        "points": [[0.0, 0.0, 1.0], [1.0, 0.0, 1.0]], "f": [0.5, 0.5],
+        "ell": 1, "sum": 1.0}
+    res = quantization_sum(config)
+    assert res.is_quantizable and not res.converged
+    with pytest.raises(ValueError, match="no measure values"):
+        quantization_sum(PointConfiguration(points=pts))
 
 
 def test_quantization_k1_never():
-    config = PointConfiguration(points=(H3Point(0, 0, 1),), f_values=(0.5,))
-    res = quantization_sum(Disk(0, 1.0), config, CFG)
+    config = PointConfiguration(points=(H3Point(0, 0, 1),), f=_measured(0.5))
+    res = quantization_sum(config)
     assert not res.is_quantizable
     # even exactly integer-valued sums fail the 0 < ell < k requirement
     config2 = PointConfiguration(points=(H3Point(0, 0, 1),),
-                                 f_values=(1.0 - 1e-12,))
-    assert not quantization_sum(Disk(0, 1.0), config2, CFG).is_quantizable
+                                 f=_measured(1.0 - 1e-12))
+    assert not quantization_sum(config2).is_quantizable
 
 
 def test_quantization_halfplane_half_levels():
     # two points at measure 1/2 each (the half-plane prototype level set)
     config = PointConfiguration(points=(H3Point(0, 0, 1), H3Point(1, 0, 1)),
-                                f_values=(0.5, 0.5))
-    res = quantization_sum(Disk(0, 1.0), config, CFG)
+                                f=_measured(0.5, 0.5))
+    res = quantization_sum(config)
     assert res.is_quantizable and res.ell == 1
     assert res.total == pytest.approx(1.0, abs=1e-15)
 
@@ -303,8 +318,8 @@ def test_quantization_halfplane_half_levels():
 def test_quantization_mixed_levels():
     config = PointConfiguration(
         points=(H3Point(0, 0, 1), H3Point(1, 0, 1), H3Point(0, 1, 1)),
-        f_values=(0.2, 0.3, 0.5))
-    res = quantization_sum(Disk(0, 1.0), config, CFG)
+        f=_measured(0.2, 0.3, 0.5))
+    res = quantization_sum(config)
     assert res.is_quantizable and res.ell == 1
 
 
@@ -312,19 +327,15 @@ def test_quantization_mixed_levels():
 def test_quantization_sum_permutation_invariant(perm):
     pts = (H3Point(0, 0, 1), H3Point(1, 0, 1), H3Point(0, 1, 1),
            H3Point(1, 1, 1))
-    base = quantization_sum(Disk(0, 1.0),
-                            PointConfiguration(points=pts,
-                                               f_values=(0.13, 0.27, 0.35,
-                                                         0.25)), CFG)
-    permuted = quantization_sum(Disk(0, 1.0),
-                                PointConfiguration(points=pts,
-                                                   f_values=tuple(perm)), CFG)
+    base = quantization_sum(PointConfiguration(
+        points=pts, f=_measured(0.13, 0.27, 0.35, 0.25)))
+    permuted = quantization_sum(PointConfiguration(points=pts, f=_measured(*perm)))
     assert permuted.total == base.total  # fsum is exactly rounded
 
 
 def test_find_quantizable_disk():
     config = find_quantizable(Disk(0, 1.0), 2, 1, CFG)
-    res = quantization_sum(Disk(0, 1.0), config, CFG)
+    res = quantization_sum(config)
     assert abs(res.total - 1.0) < 1e-8
     assert res.is_quantizable
     # the axis line solves the closed form 1/(1+z^2) = 1/2 at z = 1
@@ -334,7 +345,7 @@ def test_find_quantizable_disk():
 
 def test_find_quantizable_dogbone(dogbone01):
     config = find_quantizable(dogbone01, 2, 1, CFG)
-    res = quantization_sum(dogbone01, config, CFG)
+    res = quantization_sum(config)
     assert abs(res.total - 1.0) < 1e-8
     pts = config.points
     assert h3_distance(pts[0], pts[1]) > 0
@@ -351,7 +362,7 @@ def test_find_quantizable_keeps_its_bits(dogbone01):
     assert [(p.x, p.y) for p in config.points] == [(0.0, 0.0), (0.0625, 0.0)]
     assert [p.z.hex() for p in config.points] == ["0x1.c60c17e8e2e20p-10",
                                                   "0x1.c60c1972d3a22p-10"]
-    assert [v.hex() for v in config.f_values] == ["0x1.000000001985cp-1"] * 2
+    assert [v.hex() for v in config.f.values.tolist()] == ["0x1.000000001985cp-1"] * 2
 
 
 def test_find_quantizable_evaluation_calls(measure_calls, dogbone01):
@@ -373,8 +384,8 @@ def test_find_quantizable_validation(dogbone01):
 def test_find_quantizable_prescribed_levels():
     domain = Disk(0, 1.0)
     config = find_quantizable(domain, 3, 1, CFG, levels=(0.2, 0.3, 0.5))
-    assert np.allclose(config.f_values, (0.2, 0.3, 0.5), atol=1e-8)
-    res = quantization_sum(domain, config, CFG)
+    assert np.allclose(config.f.values, (0.2, 0.3, 0.5), atol=1e-8)
+    res = quantization_sum(config)
     assert res.is_quantizable and res.ell == 1
     with pytest.raises(ValueError):
         find_quantizable(domain, 3, 1, CFG, levels=(0.2, 0.3))
