@@ -2,8 +2,8 @@
 """Export a grid of self-dual-form norms over a domain to CSV for plotting.
 
 Writes rows (x, y, z, omega_norm, weighted_norm); the weighted column
-divides by the square of the chosen defining function so that boundary
-behavior is flattened and interior zeros stand out.
+divides by f(1 - f), so that the behaviour near the boundary plane and far
+above the region is flattened and interior zeros stand out.
 
 Usage: python scripts/form_norm_grid.py --domain dogbone01.json
 """
@@ -25,16 +25,13 @@ def main(argv=None):
                     help="JSON domain specification file")
     ap.add_argument("--out", default="form_norm_grid.csv")
     ap.add_argument("--n", type=int, default=15)
-    ap.add_argument("--u-mode", choices=["height", "sqrt_f"],
-                    default="sqrt_f")
     ap.add_argument("--tol", type=float, default=1e-7)
     args = ap.parse_args(argv)
 
     with open(args.domain) as fh:
         domain = domain_from_obj(json.load(fh))
     grid = GridSpec.for_domain(domain, args.n)
-    table, record = form_norm_grid(
-        domain, grid, QuadratureConfig(tolerance=args.tol), u_mode=args.u_mode)
+    table, record = form_norm_grid(domain, grid, QuadratureConfig(tolerance=args.tol))
     write_csv(args.out,
               ["x [boundary coords]", "y [boundary coords]",
                "z [model height]", "omega_norm [1]", "weighted_norm [1]"],

@@ -16,10 +16,13 @@ the profile dips and recovers before its final decay.
 The almost-Kahler verdict reports whether a nowhere-zero self-dual harmonic
 form can exist for the associated conformal class: any confirmed critical
 point rules it out, while the negative outcome is search-relative evidence
-("not found"), never a proof of nonexistence.  Critical points are the zeros
-of the self-dual form, |omega| = sqrt(2) z |grad f|, so the verdict and the
-zero-locus report share one off-axis search: scan a grid, threshold
-|omega| / u^2, cluster the hits, and run Newton once per cluster.
+("not found"), never a proof of nonexistence.  It takes any bounded region.
+An axis report that is not conclusive seeds Newton, since on a region
+without the symmetry a critical point lies near the axis extremum.
+Critical points are the zeros of the self-dual form,
+|omega| = sqrt(2) z |grad f|, so the verdict and the zero-locus report share
+one off-axis search: scan a grid, threshold |omega| / (f (1 - f)), cluster
+the hits, and run Newton once per cluster.
 """
 
 from __future__ import annotations
@@ -464,31 +467,23 @@ SQRT2 = math.sqrt(2.0)
 
 
 def form_norm_grid(domain: PlanarDomain | BoundaryPieces, grid: GridSpec,
-                   quad: QuadratureConfig = QuadratureConfig(),
-                   u_mode: str = "height"):
+                   quad: QuadratureConfig = QuadratureConfig()):
     """The table (x, y, z, omega_norm_g0, weighted_norm) over a search grid.
 
     The flat table behind the off-axis search: an (n, 5) array, one row per
-    grid point in grid order; ``weighted_norm`` is omega_norm / u^2 for the
-    chosen defining function, and inf where u = 0.  Returns
-    ``(table, record)``, the second the grid's :class:`MeasureValues` (with
-    gradients), whose ``converged`` flags the evaluations that did not
+    grid point in grid order; ``weighted_norm`` is omega_norm / (f (1 - f)),
+    and inf where f (1 - f) = 0.  Near the plane and far above the region
+    f (1 - f) vanishes at the same rate as omega_norm, so the weighted norm
+    stays near 2 sqrt(2) there and small values mark interior zeros.
+    Returns ``(table, record)``, the second the grid's :class:`MeasureValues`
+    (with gradients), whose ``converged`` flags the evaluations that did not
     converge.  ``domain`` may be the region's prepared boundary pieces.
     """
-    if u_mode not in ("height", "sqrt_f"):
-        raise ValueError("u_mode must be 'height' or 'sqrt_f'")
     pts = grid.points()
     record = measure_many(domain, pts, quad, gradient=True)
     omega = SQRT2 * _hyperbolic_norms(pts, record.gradients)
-    if u_mode == "height":
-        u = pts[:, 2]
-    else:
-        f = record.values
-        u = np.sqrt(np.maximum(f * (1.0 - f), 0.0))
-    # u^2 rounded as Python's u**2 (libm pow); u * u differs in the last bit
-    # on about 0.1% of rows
-    weighted = np.divide(omega, np.float_power(u, 2), out=np.full_like(omega, math.inf),
-                         where=u > 0.0)
+    u = record.values * (1.0 - record.values)
+    weighted = np.divide(omega, u, out=np.full_like(omega, math.inf), where=u > 0.0)
     return np.column_stack([pts, omega, weighted]), record
 
 
@@ -518,7 +513,7 @@ def _clusters(hits):
 
 
 def _zero_clusters(pieces: BoundaryPieces, grid: GridSpec, config: QuadratureConfig,
-                   threshold: float, u_mode: str = "height"):
+                   threshold: float):
     """The off-axis search: scan, threshold, cluster, one Newton per cluster.
 
     Hits are the rows of :func:`form_norm_grid` with weighted norm below
@@ -526,19 +521,21 @@ def _zero_clusters(pieces: BoundaryPieces, grid: GridSpec, config: QuadratureCon
     tolerance 10 tol.  Returns the table, its record, the hit rows (lists),
     the clusters and per cluster its report, or None where Newton failed.
     """
-    table, record = form_norm_grid(pieces, grid, config, u_mode)
+    table, record = form_norm_grid(pieces, grid, config)
     hits = table[:, 4] < threshold
     clusters = _clusters(hits.reshape([len(axis) for axis in grid.axes()]))
     rows = table[hits].tolist()
-    refined = []
-    for comp in clusters:
-        x, y, z = rows[min(comp, key=lambda n: rows[n][3])][:3]
-        try:
-            refined.append(refine_critical_point_3d(
-                pieces, H3Point(x, y, z), 10.0 * config.tolerance, config))
-        except RefinementError:
-            refined.append(None)
+    seeds = [rows[min(comp, key=lambda n: rows[n][3])] for comp in clusters]
+    refined = [_newton(pieces, H3Point(*seed[:3]), config) for seed in seeds]
     return table, record, rows, clusters, refined
+
+
+def _newton(pieces, seed: H3Point, config) -> CriticalPointReport | None:
+    """The search's Newton run from ``seed``, at tolerance 10 tol; None where it fails."""
+    try:
+        return refine_critical_point_3d(pieces, seed, 10.0 * config.tolerance, config)
+    except RefinementError:
+        return None
 
 
 def almost_kahler_verdict(domain: PlanarDomain, search: GridSpec | None = None,
@@ -546,11 +543,15 @@ def almost_kahler_verdict(domain: PlanarDomain, search: GridSpec | None = None,
                           threads: int = 1) -> Verdict:
     """Search for critical points and report the almost-Kahler consequence.
 
-    The search is an axis search (:func:`axis_critical_points` on a
-    200-sample profile over the grid's z range) and, on the same pieces,
-    the off-axis search of :func:`~tunnelvision.forms.zero_locus_report`
+    The search runs on any bounded region, in two parts on the same pieces.
+    The axis search (:func:`axis_critical_points` on a 200-sample profile
+    over the grid's z range) reports the extrema of f on the axis; each
+    report that is not conclusive seeds Newton at tolerance 10 tol and is
+    replaced by the refined point, or kept as it is when Newton fails.  The
+    off-axis search is that of :func:`~tunnelvision.forms.zero_locus_report`
     at its defaults: one Newton run per cluster of grid points where
-    sqrt(2) |grad f| / z is below the threshold 10 tol.  Any conclusive
+    sqrt(2) z |grad f| / (f (1 - f)) is below the threshold 10 tol, each
+    refined point kept unless it repeats an earlier report.  Any conclusive
     report means the associated conformal class is not representable by an
     almost-Kahler metric.  ``no_critical_point_found`` is explicitly
     search-relative: it is evidence at the coverage recorded in the verdict,
@@ -561,15 +562,14 @@ def almost_kahler_verdict(domain: PlanarDomain, search: GridSpec | None = None,
     """
     if not math.isfinite(domain.bounding_radius):
         raise ValueError("verdict search requires a bounded domain")
-    if not bool(domain.contains(0j)):
-        raise ValueError("verdict search expects a domain containing 0")
     if search is None:
         search = GridSpec.for_domain(domain)
     threshold = 10.0 * config.tolerance
     pieces = boundary_pieces(domain)
 
     profile = axis_profile(pieces, search.z[0], search.z[1], 200, config)
-    reports = axis_critical_points(profile, pieces, 1e-6, config)
+    reports = [rep if rep.conclusive else _newton(pieces, rep.location, config) or rep
+               for rep in axis_critical_points(profile, pieces, 1e-6, config)]
 
     table, scan, _, _, refined = _zero_clusters(pieces, search, config, threshold)
     for new in filter(None, refined):

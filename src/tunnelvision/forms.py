@@ -12,10 +12,10 @@ identically -- independent of V and of theta.  In the setting computed here
 psi is the differential of the harmonic measure, so omega vanishes exactly
 at the measure's critical points, and since the measure approaches its
 boundary values quadratically (first normal derivative zero, second one
-not), the appropriately weighted norm stays bounded away from zero near the
-boundary: zero-locus reports weight by a defining function u (the model
-height by default, sqrt(f(1-f)) optionally) to exclude near-boundary
-false positives.
+not), the norm weighted by f(1 - f) stays bounded away from zero near the
+boundary plane, and (since f and z |grad f| both decay like z^-2) far above
+the region too: zero-locus reports threshold |omega| / (f(1 - f)), which
+excludes the near-boundary and far-field false positives.
 
 The self-duality of the ansatz form is verified algebraically: the Hodge
 star is built for the diagonal metric diag(V, V, V, 1/V) on the span of the
@@ -38,7 +38,6 @@ from .hyperbolic import H3Point
 from .measure import QuadratureConfig, measure_many, measure_with_gradient
 
 __all__ = [
-    "FormSample",
     "ExpansionFit",
     "ZeroLocusReport",
     "sd_form_norm",
@@ -48,39 +47,18 @@ __all__ = [
     "form_norm_grid",
 ]
 
-@dataclass(frozen=True)
-class FormSample:
-    """Norm sample of the self-dual form; omega = sqrt(2) * psi by construction."""
-
-    base: H3Point
-    omega_norm_g0: float
-    psi_norm_h: float
-
-    @staticmethod
-    def from_psi_norm(base: H3Point, psi_norm_h: float) -> "FormSample":
-        return FormSample(base=base, omega_norm_g0=SQRT2 * psi_norm_h,
-                          psi_norm_h=psi_norm_h)
-
-    def to_obj(self):
-        return {
-            "base": [self.base.x, self.base.y, self.base.z],
-            "omega_norm_g0": self.omega_norm_g0,
-            "psi_norm_h": self.psi_norm_h,
-        }
-
 
 def sd_form_norm(domain: PlanarDomain, p: H3Point,
-                 quad: QuadratureConfig = QuadratureConfig()) -> FormSample:
-    """Pointwise norm of the self-dual form attached to the measure of ``domain``.
+                 quad: QuadratureConfig = QuadratureConfig()) -> float:
+    """Pointwise norm |omega|_{g0} of the self-dual form of ``domain``'s measure.
 
     The norm does not depend on the point configuration fixing V, nor on the
     connection: the V-factors cancel between the coframe weights and the
-    form's components.  The hyperbolic norm of the measure differential is
-    z |grad f|.
+    form's components.  It is sqrt(2) times the hyperbolic norm of the
+    measure differential, z |grad f|.
     """
     _, grad, _ = measure_with_gradient(domain, p, quad)
-    psi = _hyperbolic_norms(p.as_array()[None], grad[None])[0]
-    return FormSample.from_psi_norm(p, float(psi))
+    return float(SQRT2 * _hyperbolic_norms(p.as_array()[None], grad[None])[0])
 
 
 # -- algebraic self-duality --------------------------------------------------------
@@ -220,54 +198,51 @@ def boundary_expansion_check(domain: PlanarDomain, boundary_foot: complex,
 
 @dataclass(frozen=True)
 class ZeroLocusReport:
-    samples: tuple              # sub-threshold FormSamples (u-weighted)
+    samples: tuple              # sub-threshold rows (x, y, z, |omega|, weighted)
     clusters: tuple             # tuples of sample indices, grid-adjacent
     critical_points: tuple      # refined reports, one attempt per cluster
     cross_referenced: bool      # every cluster refined, every scan converged
     nonconverged_evaluations: int
     threshold: float
-    u_mode: str
 
     def to_obj(self):
         return {
-            "samples": [s.to_obj() for s in self.samples],
+            "samples": [list(s) for s in self.samples],
             "clusters": [list(c) for c in self.clusters],
             "critical_points": [r.to_obj() for r in self.critical_points],
             "cross_referenced": self.cross_referenced,
             "nonconverged_evaluations": self.nonconverged_evaluations,
             "threshold": self.threshold,
-            "u_mode": self.u_mode,
         }
 
 
 def zero_locus_report(domain: PlanarDomain | BoundaryPieces, grid: GridSpec,
                       quad: QuadratureConfig = QuadratureConfig(),
-                      threshold: float | None = None, u_mode: str = "height",
+                      threshold: float | None = None,
                       threads: int = 1) -> ZeroLocusReport:
-    """Scan a grid for points where the u-weighted form norm nearly vanishes.
+    """Scan a grid for points where the weighted form norm nearly vanishes.
 
-    The reported quantity is ``omega_norm / u^2``, which tends to a nonzero
-    limit at the boundary plane (quadratic boundary expansion) but still
-    vanishes at interior critical points, so near-boundary samples are
-    excluded automatically.  Each cluster of grid points below ``threshold``
-    (10 tol by default) seeds one Newton refinement at tolerance 10 tol, the
-    off-axis search of :func:`~tunnelvision.critical.almost_kahler_verdict`;
-    cross_referenced records whether every cluster refined, and is False
-    when any scan evaluation did not converge.  ``domain`` may be the
-    region's prepared boundary pieces.  ``threads`` has no effect.
+    The reported quantity is ``omega_norm / (f (1 - f))`` of
+    :func:`form_norm_grid`, which stays near 2 sqrt(2) at the boundary plane
+    and far above the region but vanishes at interior critical points, so
+    near-boundary and far-field samples are excluded.  Each cluster of grid
+    points below ``threshold`` (10 tol by default) seeds one Newton
+    refinement at tolerance 10 tol, the off-axis search of
+    :func:`~tunnelvision.critical.almost_kahler_verdict`; cross_referenced
+    records whether every cluster refined, and is False when any scan
+    evaluation did not converge.  ``domain`` may be the region's prepared
+    boundary pieces.  ``threads`` has no effect.
     """
     if threshold is None:
         threshold = 10.0 * quad.tolerance
     _, record, rows, clusters, refined = _zero_clusters(
-        boundary_pieces(domain), grid, quad, threshold, u_mode)
+        boundary_pieces(domain), grid, quad, threshold)
     nonconverged = int((~record.converged).sum())
     return ZeroLocusReport(
-        samples=tuple(FormSample(H3Point(x, y, z), omega, omega / SQRT2)
-                      for x, y, z, omega, _ in rows),
+        samples=tuple(map(tuple, rows)),
         clusters=clusters,
         critical_points=tuple(filter(None, refined)),
         cross_referenced=all(rep is not None for rep in refined) and nonconverged == 0,
         nonconverged_evaluations=nonconverged,
         threshold=float(threshold),
-        u_mode=u_mode,
     )

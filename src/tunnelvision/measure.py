@@ -56,7 +56,11 @@ of the corners and the foot (S = |w| + the extent of the pieces), which moves
 the boundary by about u S.  ``converged`` means that this bound is within the
 requested tolerance.  The gradient error is bounded the same way, with
 |grad P| <= 4 P / z in the second part; it holds for z >= 1e-5 (at smaller
-heights next to a corner the gradient error can exceed it).
+heights next to a corner the gradient error can exceed it).  The terms
+multiply up to four lengths of size at most S + z.  Once S + z passes 1e76
+those products can overflow, and a lost term leaves a plausible value (1/2
+for a unit disk seen from height 1e80), so such a row gets an infinite
+error and is never converged.
 
 The adaptive Gauss-Kronrod integral over angle of the polar decomposition
 (:func:`ray_quadrature`) is kept as an independent reference for tests.
@@ -92,6 +96,7 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 _ROUND = 8.0 * 2.0**-53  # eight unit roundoffs
+_LENGTH_MAX = 1e76  # its fourth power, times small constants, stays finite
 
 
 @dataclass(frozen=True)
@@ -305,6 +310,8 @@ def measure_many(domain: PlanarDomain | BoundaryPieces, points,
     scale = np.abs(w[:, 0]) + pc.extent
     err = (_ROUND * np.abs(terms).sum(axis=1) / _TWO_PI
            + _ROUND * scale * mass)
+    overflow = scale + z[:, 0] > _LENGTH_MAX
+    err[overflow] = math.inf
     # clipped to [0, 1] as min(max(v, 0), 1) does: -0.0 and NaN pass as they are
     values = _fsum_rows(terms) / _TWO_PI
     values = np.where(values < 0.0, 0.0, values)
@@ -317,8 +324,9 @@ def measure_many(domain: PlanarDomain | BoundaryPieces, points,
     shift = _ROUND * scale * 4.0 * mass / z[:, 0]  # |grad P| <= 4 P / z
     xy_err = _ROUND * gxy_size.sum(axis=1) + shift
     z_err = _ROUND * gz_size.sum(axis=1) + shift
-    return MeasureValues(values, err, err <= config.tolerance, grads,
-                         np.stack([xy_err, xy_err, z_err], axis=1))
+    grad_err = np.stack([xy_err, xy_err, z_err], axis=1)
+    grad_err[overflow] = math.inf
+    return MeasureValues(values, err, err <= config.tolerance, grads, grad_err)
 
 
 def harmonic_measure(domain: PlanarDomain | BoundaryPieces, p: H3Point,

@@ -12,8 +12,7 @@ import numpy as np
 from tunnelvision.critical import (GridSpec, almost_kahler_verdict,
                                    dogbone_experiment)
 from tunnelvision.domains import Difference, Disk, HalfPlane, Union, dogbone
-from tunnelvision.forms import (FormSample, boundary_expansion_check,
-                                selfdual_algebra_check)
+from tunnelvision.forms import boundary_expansion_check, selfdual_algebra_check
 from tunnelvision.greens import (PointConfiguration, find_quantizable,
                                  green_flux, quantization_sum, quotient_green)
 from tunnelvision.groups import (limit_set_sample, min_genus, regular_polygon,
@@ -197,6 +196,4 @@ def test_criterion_12_selfdual_algebra():
         v = rng.uniform(0.05, 20.0)
         worst = max(worst, selfdual_algebra_check(psi, v))
     assert worst < 1e-12
-    sample = FormSample.from_psi_norm(H3Point(0, 0, 1), 0.123456789)
-    assert sample.omega_norm_g0 == math.sqrt(2.0) * sample.psi_norm_h
     _report(12, "self-dual form algebra")

@@ -60,6 +60,16 @@ def test_measure_disk(disk_json, tmp_path, capsys):
     assert "seed" not in manifest
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_measure_overflow_exits_2(disk_json, tmp_path, capsys):
+    # the value 0.5 that survives the overflow has no error bound (true
+    # value 1e-160); see test_overflowing_lengths_are_not_converged
+    rc = main(["measure", "--domain", disk_json, "--point", "0", "0", "1e80",
+               "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().out.split() == ["0.5", "inf"]
+
+
 def test_measure_creates_out_dir(disk_json, tmp_path, capsys):
     out_dir = tmp_path / "new" / "run"
     rc = main(["measure", "--domain", disk_json, "--point", "0", "0", "1",
@@ -272,20 +282,21 @@ def test_critical_nonconverged_exit(disk_json, tmp_path):
 
 def test_critical_lopsided_axis_extrema_are_inconclusive(tmp_path):
     # the axis extrema of a region without the half-turn symmetry are not
-    # critical points (a nearby off-axis one is, see
-    # test_refine_tracks_perturbed_domain): they are reported, not conclusive
+    # critical points (see test_axis_search_flags_asymmetric_extrema); the
+    # verdict refines each into the off-axis critical point beside it
     path = tmp_path / "lopsided.json"
     path.write_text(json.dumps({"op": "union", "args": [
         {"disk": {"c": [1, 0], "r": 0.26}}, {"disk": {"c": [-1, 0], "r": 0.25}},
         {"dogbone": {"eps": 0.1}}]}))
     rc = main(["critical", "--domain", str(path), "--grid-n", "4",
                "--out-dir", str(tmp_path)])
-    assert rc == 2
+    assert rc == 0
     verdict = json.loads((tmp_path / "verdict.json").read_text())
     _schema("verdict.schema.json")(verdict)
-    assert verdict["status"] == "no_critical_point_found"
+    assert verdict["status"] == "critical_points_found"
     assert [(r["classification"], r["conclusive"]) for r in verdict["reports"]] == \
-        [("axis-min", False), ("axis-max", False)]
+        [("3d-refined", True), ("3d-refined", True)]
+    assert all(r["location"][0] < 0.0 for r in verdict["reports"])
 
 
 def test_critical_grid_n_below_two(disk_json, tmp_path, capsys):

@@ -11,7 +11,8 @@ from tunnelvision.critical import (AxisProfile, GridSpec, RefinementError,
                                    _bracketed_roots, almost_kahler_verdict,
                                    axis_critical_points, axis_profile,
                                    dogbone_experiment, refine_critical_point_3d)
-from tunnelvision.domains import Disk, HalfPlane, Union, boundary_pieces, dogbone
+from tunnelvision.domains import (Difference, Disk, HalfPlane, Intersection, Union,
+                                  boundary_pieces, dogbone)
 from tunnelvision.forms import zero_locus_report
 from tunnelvision.hyperbolic import H3Point
 from tunnelvision.measure import (QuadratureConfig, harmonic_measure,
@@ -186,8 +187,11 @@ def test_near_symmetric_union_gets_no_conclusive_axis_report(dogbone01, r):
     prof = axis_profile(region, 0.01, 10.0, 60, CFG)
     reports = axis_critical_points(prof, region, 1e-6, CFG)
     assert len(reports) == 2 and not any(rep.conclusive for rep in reports)
+    # Newton from each axis report finds the critical point beside it
     verdict = almost_kahler_verdict(region, GridSpec.for_domain(region, 8))
-    assert verdict.status == "no_critical_point_found"
+    assert verdict.status == "critical_points_found"
+    assert [(r.classification, r.conclusive) for r in verdict.reports] == \
+        [("3d-refined", True), ("3d-refined", True)]
 
 
 def test_mirrored_disks_keep_conclusive_axis_reports(dogbone01):
@@ -328,9 +332,46 @@ def test_verdict_rejects_halfplane():
         almost_kahler_verdict(HalfPlane(1j, 0.0), None, CFG)
 
 
-def test_verdict_rejects_domain_missing_origin():
-    with pytest.raises(ValueError):
-        almost_kahler_verdict(Disk(5.0, 1.0), None, CFG)
+# A region bounded by two disjoint circles has one critical point, on the
+# geodesic between the limit points of the circles' pencil, at height
+# sqrt(R1 R2) once a Mobius map makes the circles concentric with radii R1, R2.
+# Concentric circles need no map; disks of radius r centred at +-c have their
+# limit points at +-sqrt(c^2 - r^2), and the geodesic's top is at that height.
+@pytest.mark.parametrize("region, z", [
+    (Union(Disk(1.0, 0.5), Disk(-1.0, 0.5)), math.sqrt(0.75)),
+    (Difference(Disk(0, 1.0), Disk(0, 0.5)), math.sqrt(0.5))],
+    ids=["two-disks", "annulus"])
+def test_verdict_meets_the_two_circle_closed_form(region, z):
+    # neither region contains 0; the axis search needs only a bounded region
+    assert not region.contains(0j)
+    verdict = almost_kahler_verdict(region, GridSpec.for_domain(region, 8))
+    assert verdict.status == "critical_points_found"
+    [report] = verdict.reports
+    assert (report.classification, report.conclusive) == ("axis-max", True)
+    assert abs(report.location.z - z) <= report.tolerance
+
+
+def _translated_dogbone(epsilon, s):
+    """dogbone(epsilon) translated by the real s, built from the same primitives."""
+    h = epsilon**3
+    return Union(Disk(1.0 + s, 0.25), Disk(-1.0 + s, 0.25),
+                 Intersection(Disk(s, 1.0), HalfPlane(1j, -h), HalfPlane(-1j, -h)))
+
+
+def test_verdict_on_a_translated_dogbone_finds_the_shifted_pair(dogbone01):
+    # off the origin the axis extrema are not critical points; Newton from
+    # each lands on the dogbone's own pair, shifted
+    config = QuadratureConfig()
+    axis = almost_kahler_verdict(dogbone01, GridSpec.for_domain(dogbone01, 8), config)
+    region = _translated_dogbone(0.1, 0.3)
+    verdict = almost_kahler_verdict(region, GridSpec.for_domain(region, 8), config)
+    assert verdict.status == "critical_points_found"
+    assert [r.classification for r in verdict.reports] == ["3d-refined"] * 2
+    assert all(r.conclusive for r in verdict.reports)
+    for moved, r in zip(verdict.reports, axis.reports):
+        expected = np.array([r.location.x + 0.3, r.location.y, r.location.z])
+        assert np.abs(moved.location.as_array() - expected).max() <= \
+            10 * config.tolerance
 
 
 # -- one arrangement per experiment --------------------------------------------------
@@ -374,21 +415,38 @@ def refinements(monkeypatch):
     return count
 
 
+@pytest.fixture
+def lopsided(dogbone01):
+    """The dogbone with one end disk enlarged: no half-turn symmetry."""
+    return Union(Disk(1, 0.26), Disk(-1, 0.25), dogbone01)
+
+
+def _lopsided_critical_point(region):
+    """The lopsided union's lower critical point, refined from its axis minimum."""
+    profile = axis_profile(region, 0.05, 10.0, 200)
+    axis_min = axis_critical_points(profile, region)[0]
+    assert axis_min.classification == "axis-min" and not axis_min.conclusive
+    p = refine_critical_point_3d(region, axis_min.location, 1e-6).location
+    assert p.x == pytest.approx(-0.008993, abs=1e-6) and abs(p.y) < 1e-12
+    assert p.z == pytest.approx(0.155947, abs=1e-6)
+    return H3Point(p.x, 0.0, p.z)
+
+
 def test_verdict_builds_one_arrangement_per_refinement(arrangement_builds,
-                                                     dogbone01, refinements):
-    # a loose tolerance raises the cluster threshold, so grid points refine,
-    # all on the verdict's own arrangement
-    almost_kahler_verdict(dogbone01, GridSpec(x=(-0.3, 0.3, 3), y=(-0.3, 0.3, 3),
-                                              z=(0.05, 5.0, 6)),
-                          QuadratureConfig(tolerance=1e-4))
-    assert refinements[0] > 0
+                                                     lopsided, refinements):
+    # both axis reports are not conclusive and seed Newton, all on the
+    # verdict's own arrangement
+    verdict = almost_kahler_verdict(lopsided, GridSpec.for_domain(lopsided, 4))
+    assert refinements[0] == 2
+    assert [r.classification for r in verdict.reports] == ["3d-refined"] * 2
     assert arrangement_builds[0] == 1
 
 
-def test_zero_locus_refines_on_its_own_arrangement(arrangement_builds, dogbone01,
+def test_zero_locus_refines_on_its_own_arrangement(arrangement_builds, lopsided,
                                                    refinements):
-    report = zero_locus_report(dogbone01, GridSpec.for_domain(dogbone01, 6),
-                               QuadratureConfig(tolerance=1e-4))
+    p = _lopsided_critical_point(lopsided)
+    arrangement_builds[0] = refinements[0] = 0
+    report = zero_locus_report(lopsided, _grid_around(p))
     assert len(report.clusters) == refinements[0] == 1
     assert arrangement_builds[0] == 1
 
@@ -413,29 +471,27 @@ def _grid_around(p: H3Point, h: float = 0.01, z_factor: float = 1.1) -> GridSpec
 
 
 def test_verdict_appends_an_off_axis_critical_point(refinements):
-    # the lopsided union's axis minimum is not a critical point: Newton from
-    # it lands off the axis.  A grid point on that critical point makes it a
-    # cluster seed, and the verdict appends the refined report
-    region = Union(Disk(1, 0.26), Disk(-1, 0.25), dogbone(0.1))
-    profile = axis_profile(region, 0.05, 10.0, 200)
-    axis_min = axis_critical_points(profile, region)[0]
-    assert axis_min.classification == "axis-min" and not axis_min.conclusive
-    p = refine_critical_point_3d(region, axis_min.location, 1e-6).location
-    assert p.x == pytest.approx(-0.008993, abs=1e-6) and abs(p.y) < 1e-12
-    assert p.z == pytest.approx(0.155947, abs=1e-6)
+    # the three disks have critical points off the axis and none on it.  A
+    # grid point on one of them makes it a cluster seed, and the verdict
+    # appends the refined report
+    region = Union(Disk(0, 0.4), Disk(1.5, 0.4), Disk(-1.5, 0.4))
+    p = refine_critical_point_3d(region, H3Point(0.75, 0.0, 0.64), 1e-6).location
+    assert p.x == pytest.approx(0.753395, abs=1e-6) and abs(p.y) < 1e-12
+    assert p.z == pytest.approx(0.644733, abs=1e-6)
     refinements[0] = 0
     verdict = almost_kahler_verdict(region, _grid_around(H3Point(p.x, 0.0, p.z)))
     assert refinements[0] == 1
     assert verdict.status == "critical_points_found"
-    assert [(r.classification, r.conclusive) for r in verdict.reports] == \
-        [("axis-min", False), ("3d-refined", True)]
-    assert verdict.reports[1].location == H3Point(p.x, 0.0, p.z)
+    [report] = verdict.reports
+    assert (report.classification, report.conclusive) == ("3d-refined", True)
+    assert abs(report.location.x - p.x) + abs(report.location.z - p.z) < 1e-9
 
 
-def test_verdict_drops_a_refined_point_on_an_axis_report(dogbone01, refinements,
+def test_verdict_drops_a_refined_point_on_an_axis_report(lopsided, refinements,
                                                         monkeypatch):
-    # Newton from the grid's middle converges onto the axis maximum, which
-    # the axis search already reports; the duplicate is dropped
+    # Newton from the axis minimum and from the grid's middle converge onto
+    # the same critical point; the grid's duplicate is dropped
+    p = _lopsided_critical_point(lopsided)
     close = []
 
     def recording(p, q, close_to=critical._close):
@@ -443,11 +499,12 @@ def test_verdict_drops_a_refined_point_on_an_axis_report(dogbone01, refinements,
         return close[-1]
 
     monkeypatch.setattr(critical, "_close", recording)
-    verdict = almost_kahler_verdict(dogbone01, _grid_around(H3Point(0.0, 0.0, 0.9496)))
-    assert refinements[0] == 1
+    refinements[0] = 0
+    verdict = almost_kahler_verdict(lopsided, _grid_around(p))
+    assert refinements[0] == 2
     assert close == [True]
     assert [(r.classification, r.conclusive) for r in verdict.reports] == \
-        [("axis-max", True)]
+        [("3d-refined", True)]
 
 
 # -- lockstep solves: fewer evaluation calls, the same bits --------------------------
@@ -546,15 +603,15 @@ def test_refinement_on_prepared_pieces_builds_no_arrangement(measure_calls,
     assert _refined_bits(rep) == REFINED_BITS
 
 
-# Recorded while the verdict seeded Newton at every grid point with z |grad f|
-# below 10 tol, and the zero-locus report ran its own cluster search (numpy
-# 2.4, x86-64): sha256 of the verdict's and the report's JSON for dogbone(0.1)
-# on its grid of 8.
+# sha256 of the verdict's and the zero-locus report's JSON for dogbone(0.1)
+# on its grid of 8 (numpy 2.4, x86-64).  The verdict's were recorded while it
+# seeded Newton at every grid point with z |grad f| below 10 tol; the
+# report's when it lost its weighting option and wrote its hit rows as lists.
 SEARCH_SHA256 = {
     1e-7: ("95f304b17c701aad393b41c781307f84f3a4ffe6b89d81d20e0ae2a1b6051a76",
-           "12f6124a3699adf10fbed785360799f713c4c978492c0d28cf14388677525562"),
+           "53d9c3657964a3a3abf6ca159274b93d2d4b807b9fcf6ad2d0feccb96e6082db"),
     1e-4: ("cd72b72abdb5cf33c19e0c4b31e948bfe0cb4a0418a0c06ae965d938b11dcfe8",
-           "c5b7fcd4a3a7c0112ba1e6890d63049db8d1479cfa8df7bfe3282536ad4c8816"),
+           "b277a83d5fff3d58a5e812c4170c44ce5821e27aef0cf5ff444397b7c3cd2c22"),
 }
 
 
@@ -567,5 +624,6 @@ def test_verdict_and_zero_locus_keep_their_bits(dogbone01, refinements, tol):
     zeros = zero_locus_report(dogbone01, grid, config)
     assert tuple(hashlib.sha256(dump_json(r.to_obj()).encode()).hexdigest()
                  for r in (verdict, zeros)) == SEARCH_SHA256[tol]
-    # the verdict runs Newton once per zero-locus cluster
-    assert newton_runs == len(zeros.clusters) == (1 if tol == 1e-4 else 0)
+    # the axis reports are conclusive and the weighting keeps the far field
+    # out of the hits, so neither search runs Newton
+    assert newton_runs == len(zeros.clusters) == 0

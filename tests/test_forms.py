@@ -6,20 +6,14 @@ import pytest
 
 from tunnelvision.critical import GridSpec, _clusters
 from tunnelvision.domains import Disk, HalfPlane
-from tunnelvision.forms import (FormSample, form_norm_grid,
-                                _hodge_star_matrix, boundary_expansion_check,
-                                sd_form_norm, selfdual_algebra_check,
-                                zero_locus_report)
+from tunnelvision.forms import (form_norm_grid, _hodge_star_matrix,
+                                boundary_expansion_check, sd_form_norm,
+                                selfdual_algebra_check, zero_locus_report)
 from tunnelvision.hyperbolic import H3Point
 from tunnelvision.measure import QuadratureConfig, measure_with_gradient
 
 CFG = QuadratureConfig(tolerance=1e-9)
 SQRT2 = math.sqrt(2.0)
-
-
-def test_form_sample_identity_exact():
-    s = FormSample.from_psi_norm(H3Point(0, 0, 1), 0.37)
-    assert s.omega_norm_g0 == SQRT2 * s.psi_norm_h
 
 
 def test_sd_norm_halfplane_prototype():
@@ -28,18 +22,15 @@ def test_sd_norm_halfplane_prototype():
     s = math.hypot(p.y, p.z)
     grad = np.array([0.0, p.z**2 / (2 * s**3), -p.y * p.z / (2 * s**3)])
     expected_psi = p.z * float(np.linalg.norm(grad))
-    sample = sd_form_norm(HalfPlane(1j, 0.0), p, CFG)
-    assert sample.psi_norm_h == pytest.approx(expected_psi, abs=1e-8)
-    assert sample.omega_norm_g0 == pytest.approx(SQRT2 * expected_psi,
-                                                 abs=1e-8)
+    omega = sd_form_norm(HalfPlane(1j, 0.0), p, CFG)
+    assert omega == pytest.approx(SQRT2 * expected_psi, abs=1e-8)
 
 
 def test_sd_norm_vanishes_at_critical_point(dogbone01, quad_cfg):
     from tunnelvision.critical import dogbone_experiment
     report, _ = dogbone_experiment(0.1, quad_cfg, n_samples=120)
     cp = report.critical_points[0]
-    sample = sd_form_norm(dogbone01, cp.location, quad_cfg)
-    assert sample.omega_norm_g0 < 1e-6
+    assert sd_form_norm(dogbone01, cp.location, quad_cfg) < 1e-6
 
 
 def test_selfdual_model_form():
@@ -161,8 +152,7 @@ def test_zero_locus_counts_nonconverged_scan():
 
 def test_zero_locus_finds_dogbone_pair(dogbone01):
     grid = GridSpec(x=(-0.4, 0.4, 7), y=(-0.4, 0.4, 7), z=(0.05, 3.0, 12))
-    report = zero_locus_report(dogbone01, grid, QuadratureConfig(),
-                               threshold=0.15, u_mode="sqrt_f")
+    report = zero_locus_report(dogbone01, grid, QuadratureConfig(), threshold=0.15)
     assert len(report.clusters) == 2
     assert len(report.critical_points) == 2
     assert report.cross_referenced
@@ -173,11 +163,11 @@ def test_zero_locus_finds_dogbone_pair(dogbone01):
 
 def test_zero_locus_near_boundary_excluded_by_weighting(dogbone01):
     # deep inside the corridor (heights well below the corridor half-height)
-    # the raw form norm vanishes quadratically with z, but the u-weighted
-    # norm blows up there, so no near-boundary samples are reported
+    # the raw form norm vanishes quadratically with z, and so does f (1 - f):
+    # the weighted norm stays near 2 sqrt(2), so no near-boundary samples
+    # are reported
     grid = GridSpec(x=(-0.05, 0.05, 3), y=(-1e-4, 1e-4, 2), z=(2e-5, 1e-4, 4))
-    report = zero_locus_report(dogbone01, grid, QuadratureConfig(),
-                               threshold=0.05, u_mode="height")
+    report = zero_locus_report(dogbone01, grid, QuadratureConfig(), threshold=0.05)
     assert report.samples == ()
     # the raw (unweighted) norms at those grid points are all sub-threshold:
     # without the weighting they would be reported as spurious zeros
@@ -196,8 +186,7 @@ def test_zero_locus_near_boundary_excluded_by_weighting(dogbone01):
 
 def test_form_norm_grid_rows(dogbone01):
     grid = GridSpec(x=(-0.2, 0.2, 3), y=(-0.2, 0.2, 3), z=(0.1, 2.0, 4))
-    table, record = form_norm_grid(dogbone01, grid, QuadratureConfig(),
-                                   u_mode="sqrt_f")
+    table, record = form_norm_grid(dogbone01, grid, QuadratureConfig())
     assert record.converged.all()
     assert table.shape == (3 * 3 * 4, 5)
     for x, y, z, omega, weighted in table.tolist():
@@ -205,12 +194,22 @@ def test_form_norm_grid_rows(dogbone01):
         assert weighted >= omega  # f(1-f) < 1 always
 
 
-@pytest.mark.parametrize("u_mode, n", [("height", 4), ("sqrt_f", 10)])
-def test_form_norm_grid_matches_a_per_point_loop(dogbone01, u_mode, n):
-    # the rows as computed one point at a time, bit for bit; on these grids
-    # u * u differs from Python's u**2 in the last bit on 16 and 2 rows
-    grid = GridSpec.for_domain(dogbone01, n)
-    table, record = form_norm_grid(dogbone01, grid, QuadratureConfig(), u_mode)
+def test_weighting_keeps_the_far_field_out(dogbone01):
+    # above the region f and z |grad f| both decay like z^-2, so the weighted
+    # norm tends to 2 sqrt(2); weighting by 1 / z^2 instead let all 128 points
+    # of the top two levels into the hits at tol 1e-4
+    grid = GridSpec.for_domain(dogbone01, 8)
+    config = QuadratureConfig(tolerance=1e-4)
+    table, _ = form_norm_grid(dogbone01, grid, config)
+    top = table[:, 2] >= grid.axes()[2][-2]
+    assert top.sum() == 128 and np.all(table[top, 4] > 2.5)
+    assert zero_locus_report(dogbone01, grid, config).samples == ()
+
+
+def test_form_norm_grid_matches_a_per_point_loop(dogbone01):
+    # the rows as computed one point at a time, bit for bit
+    grid = GridSpec.for_domain(dogbone01, 10)
+    table, record = form_norm_grid(dogbone01, grid, QuadratureConfig())
     xs, ys, zs = grid.axes()
     rows = []
     for x in xs:
@@ -219,17 +218,10 @@ def test_form_norm_grid_matches_a_per_point_loop(dogbone01, u_mode, n):
                 p = H3Point(float(x), float(y), float(z))
                 mv, g, _ = measure_with_gradient(dogbone01, p, QuadratureConfig())
                 omega = SQRT2 * (p.z * float(np.linalg.norm(g)))
-                u = (p.z if u_mode == "height"
-                     else math.sqrt(max(mv.value * (1.0 - mv.value), 0.0)))
-                rows.append([p.x, p.y, p.z, omega,
-                             omega / u**2 if u > 0 else math.inf])
+                u = mv.value * (1.0 - mv.value)
+                rows.append([p.x, p.y, p.z, omega, omega / u if u > 0 else math.inf])
     assert table.tolist() == rows
     assert len(record) == len(rows)
-
-
-def test_form_norm_grid_rejects_unknown_weighting(dogbone01):
-    with pytest.raises(ValueError, match="u_mode"):
-        form_norm_grid(dogbone01, GridSpec.for_domain(dogbone01, 2), u_mode="area")
 
 
 # -- clusters of grid hits -----------------------------------------------------------

@@ -114,6 +114,25 @@ def test_nonconvergence_is_flagged(dogbone01):
         abs=1e-6)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_overflowing_lengths_are_not_converged(dogbone01):
+    # past ~1e77 the arc terms' sqrt(P1 P2) overflows and the value reads 1/2
+    # with a rounding-sized error; such rows get an infinite one instead
+    for domain, p in [(Disk(0, 1.0), H3Point(0, 0, 1e80)),  # true value 1e-160
+                      (Disk(0, 1.0), H3Point(1e80, 0, 1)),
+                      (Disk(0, 1e100), H3Point(0, 0, 1))]:  # true value 1
+        mv, _, grad_err = measure_with_gradient(domain, p, CFG)
+        assert mv.error == math.inf and not mv.converged
+        assert np.all(grad_err == math.inf)
+    # a finite row batched with an overflowing one keeps its bits
+    p = H3Point(0.3, 0.2, 0.7)
+    batch = measure_many(dogbone01, [p, H3Point(0, 0, 1e80)], CFG, gradient=True)
+    alone = measure_many(dogbone01, [p], CFG, gradient=True)
+    assert batch.values[0] == alone.values[0] and batch.errors[0] == alone.errors[0]
+    assert np.array_equal(batch.gradient_errors[0], alone.gradient_errors[0])
+    assert list(batch.converged) == [True, False]
+
+
 def test_batched_matches_one_point_calls():
     # one batched call and one call per point give identical bits, for a
     # batch on one vertical line and a batch on distinct lines, converged or not
