@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,8 +43,29 @@ __all__ = [
 ]
 
 
+# The boundary sum multiplies up to four lengths (see tunnelvision.measure);
+# below this size their products, times small constants, stay finite.
+_LENGTH_MAX = 1e76
+
+
+def _check_length(name: str, length: float, value) -> None:
+    """Reject a parameter whose length exceeds what the boundary sum can evaluate."""
+    if not length <= _LENGTH_MAX:
+        raise ValueError(f"{name} must stay within {_LENGTH_MAX:g} of the origin, "
+                         f"got {value}")
+
+
 class PlanarDomain:
-    """Base class of the domain expression tree.  Immutable after construction."""
+    """Base class of the domain expression tree.  Immutable after construction.
+
+    :func:`boundary_pieces` keeps the arrangement it builds on the domain
+    object; copies and pickles leave it out and rebuild it when asked.
+    """
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_pieces", None)
+        return state
 
     def contains(self, zeta):
         """Membership test; accepts a complex scalar or ndarray."""
@@ -95,6 +116,9 @@ class Disk(PlanarDomain):
         if not (cmath.isfinite(self.center) and 0 < self.radius < math.inf):
             raise ValueError("disk needs a finite center and a finite positive "
                              f"radius, got {self.center}, {self.radius}")
+        _check_length("disk center + radius",
+                      math.hypot(self.center.real, self.center.imag) + self.radius,
+                      (self.center, self.radius))
 
     def contains(self, zeta):
         return np.abs(np.asarray(zeta) - self.center) < self.radius
@@ -147,10 +171,14 @@ class HalfPlane(PlanarDomain):
     offset: float
 
     def __post_init__(self):
-        n = abs(self.normal)
+        try:
+            n = abs(self.normal)
+        except OverflowError:  # finite parts, modulus past the float range
+            n = math.inf
         if not (0 < n < math.inf and math.isfinite(self.offset)):
             raise ValueError("half-plane needs a finite nonzero normal and a finite "
                              f"offset, got {self.normal}, {self.offset}")
+        _check_length("half-plane offset", abs(self.offset), self.offset)
         if abs(n - 1.0) > 1e-12:
             object.__setattr__(self, "normal", self.normal / n)
 
@@ -209,6 +237,8 @@ class SimplePolygon(PlanarDomain):
             raise ValueError("polygon needs at least 3 vertices")
         if not all(map(cmath.isfinite, verts)):
             raise ValueError("polygon vertices must be finite")
+        for v in verts:
+            _check_length("polygon vertex", math.hypot(v.real, v.imag), v)
         area2 = sum((verts[i].real * verts[(i + 1) % n].imag
                      - verts[(i + 1) % n].real * verts[i].imag) for i in range(n))
         if abs(area2) < 1e-300:
@@ -366,6 +396,14 @@ def dogbone(epsilon: float) -> PlanarDomain:
 
 # -- boundary arrangement -------------------------------------------------------
 
+
+def _frozen(values) -> np.ndarray:
+    """A read-only view of ``values`` as an array."""
+    arr = np.asarray(values).view()
+    arr.flags.writeable = False
+    return arr
+
+
 # Curves within this relative distance of each other are one curve; near
 # misses within _TOUCH still cut each other (an extra cut is harmless).
 _SAME = 1e-12
@@ -382,7 +420,8 @@ class BoundaryPieces:
     ``arc_center[k] + arc_radius[k] * exp(i psi)`` for psi from
     ``arc_start[k]`` through the signed ``arc_sweep[k]``.  ``at_infinity``
     is the angle of directions in which the domain reaches infinity, and
-    ``extent`` bounds |xi| over every corner, anchor and circle.
+    ``extent`` bounds |xi| over every corner, anchor and circle: the bound
+    given, raised to cover the corners.  The arrays are read-only.
     """
 
     seg_anchor: np.ndarray
@@ -395,6 +434,13 @@ class BoundaryPieces:
     arc_sweep: np.ndarray
     at_infinity: float
     extent: float
+
+    def __post_init__(self):
+        for name in ("seg_anchor", "seg_dir", "seg_lo", "seg_hi",
+                     "arc_center", "arc_radius", "arc_start", "arc_sweep"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
+        object.__setattr__(self, "extent", max(
+            self.extent, float(np.abs(self.corners()).max(initial=0.0))))
 
     def corners(self) -> np.ndarray:
         """The finite endpoints of the pieces."""
@@ -498,11 +544,24 @@ def boundary_pieces(domain: PlanarDomain | BoundaryPieces) -> BoundaryPieces:
     ``contains`` call.  Directions at infinity between consecutive
     half-plane directions are probed far out, beyond every corner.
 
-    Prepared pieces are returned as given, so a caller that evaluates one
-    region many times builds its arrangement once and passes it along.
+    A domain is immutable, so its arrangement is built once and kept on the
+    domain object: every later call with the same object, such as a verdict
+    and a zero-locus report on one region, returns the same read-only
+    pieces.  Prepared pieces are returned as given, so a caller that
+    evaluates one region many times may also build them once and pass them
+    along.
     """
     if isinstance(domain, BoundaryPieces):
         return domain
+    pieces = getattr(domain, "_pieces", None)
+    if pieces is None:  # two threads here at once build equal arrangements
+        pieces = _arrangement(domain)
+        object.__setattr__(domain, "_pieces", pieces)
+    return pieces
+
+
+def _arrangement(domain: PlanarDomain) -> BoundaryPieces:
+    """Build the arrangement of :func:`boundary_pieces` for a domain tree."""
     prims = list(domain.primitives())
     scale = 1.0 + max(abs(p.offset) if isinstance(p, HalfPlane) else p.bounding_radius
                       for p in prims)
@@ -569,7 +628,7 @@ def boundary_pieces(domain: PlanarDomain | BoundaryPieces) -> BoundaryPieces:
     keep = on_left != on_right
     fwd, lo, hi = on_left[keep], lo[keep], hi[keep]
     arc, seg = is_arc[keep], ~is_arc[keep]
-    pieces = BoundaryPieces(
+    return BoundaryPieces(
         seg_anchor=center[keep][seg],
         seg_dir=np.where(fwd, u[keep], -u[keep])[seg],
         seg_lo=np.where(fwd, lo, -hi)[seg],
@@ -581,8 +640,6 @@ def boundary_pieces(domain: PlanarDomain | BoundaryPieces) -> BoundaryPieces:
         at_infinity=float(gaps[at_far].sum()),
         extent=scale,
     )
-    return replace(pieces, extent=max(scale, float(np.abs(pieces.corners()).max(
-        initial=0.0))))
 
 
 # -- JSON wire format ----------------------------------------------------------

@@ -29,7 +29,7 @@ from .domains import PlanarDomain, boundary_pieces
 from .groups import GroupElements
 from .hyperbolic import (H3Point, apply_h3_batch, geodesic_point, h3_distance,
                          h3_distance_batch, MobiusMap)
-from .measure import MeasureValues, QuadratureConfig, measure_many
+from .measure import MeasureValues, QuadratureConfig, _row_sums, measure_many
 
 __all__ = [
     "PointConfiguration",
@@ -173,67 +173,13 @@ def green_flux(pole: H3Point, geodesic_radius: float, quad_n: int = 64,
     return area_factor * math.fsum(terms)
 
 
-def _two_sum_tree(x: np.ndarray):
-    """Pairwise sum of ``x`` and the exact rounding error of every addition.
-
-    Each level adds the first half of the values to the second (an odd last
-    value is carried up) and keeps Knuth's TwoSum error: for s = fl(a + b)
-    and t = s - a, (a - (s - t)) + (b - t) equals a + b - s exactly, barring
-    overflow.  So the true sum of ``x`` is the returned sum plus the sum of
-    the returned errors.
-    """
-    errors = []
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite sums fall back
-        while len(x) > 1:
-            half = len(x) // 2
-            a, b = x[:half], x[half:2 * half]
-            s = a + b
-            t = s - a
-            errors.append((a - (s - t)) + (b - t))
-            x = np.concatenate([s, x[2 * half:]])
-    return float(x[0]) if len(x) else 0.0, np.concatenate(errors or [x[:0]])
-
-
-def _exact_sum(x: np.ndarray) -> float:
-    """``math.fsum(x)``, bit for bit, from array arithmetic where it can be certified.
-
-    A TwoSum tree gives the sum ``hi`` and the errors of its additions; a
-    second tree sums those errors to ``lo`` and leaves errors of its own.
-    With r = fl(hi + lo) and its error t, the exact sum is r + t plus the
-    second tree's errors.  r is the correctly rounded sum when those
-    errors are all 0 (then hi + lo is the exact sum), or when the residual
-    t + (second errors), with its rounding bound, lies strictly within half
-    the float gap at r (a quarter of the gap above when |r| is a power of
-    two, as the gap below is half as wide).  Correct rounding is unique, so
-    a certified r is what ``math.fsum`` returns (Ogita, Rump & Oishi,
-    *Accurate sum and dot product*, 2005).  A zero, non-finite or
-    uncertified r falls back to ``math.fsum``.
-    """
-    hi, first = _two_sum_tree(x)
-    lo, second = _two_sum_tree(first)
-    r = hi + lo
-    if r != 0.0 and math.isfinite(r):
-        t = (hi - (r - (r - hi))) + (lo - (r - hi))
-        if not second.any():
-            return r
-        residual = t + float(second.sum())
-        size = abs(t) + float(np.abs(second).sum())
-        # summing m terms in any order errs by about (m - 1) u times their
-        # absolute sum (u = 2**-53); 4 m u also covers the roundings of this
-        # test, and the smallest subnormal an underflowing product
-        bound = 4.0 * (len(second) + 1) * 2.0**-53 * size + 5e-324
-        gap = math.ulp(r) / (4.0 if math.frexp(r)[0] in (0.5, -0.5) else 2.0)
-        if abs(residual) + bound < gap:
-            return r
-    return math.fsum(x.tolist())
-
-
 def _shell_sums(matrices, lengths, pole: H3Point, q: H3Point):
     """Per-word-length sums of the Poincare series terms at q.
 
     ``lengths`` are non-decreasing, so each shell is one slice of the terms.
-    Each slice is summed exactly rounded by :func:`_exact_sum`, a certified
-    array sum that falls back to ``math.fsum``.
+    Each slice is summed exactly rounded by the measure's row-sum kernel,
+    which gives ``math.fsum``'s bits: a TwoSum tree with a certified
+    rounding on large shells, ``math.fsum`` itself on small ones.
     """
     orbit = apply_h3_batch(matrices, pole)
     d = h3_distance_batch(orbit, q)
@@ -243,7 +189,7 @@ def _shell_sums(matrices, lengths, pole: H3Point, q: H3Point):
             f"evaluation point within {dmin:.2e} of an orbit point")
     terms = 1.0 / np.expm1(2.0 * d)
     cuts = np.searchsorted(lengths, np.arange(lengths[-1] + 2)).tolist()
-    return [_exact_sum(terms[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+    return [float(_row_sums(terms[lo:hi])) for lo, hi in zip(cuts, cuts[1:])]
 
 
 def quotient_green(elements, pole_lift: H3Point, q: H3Point,

@@ -22,9 +22,13 @@ boundary is the arrangement of :func:`~tunnelvision.domains.boundary_pieces`:
 segments (possibly infinite) and circular arcs, on each of which all three
 integrals are elementary; an unbounded region adds the angle of its
 directions at infinity over 2 pi to f.  :func:`measure_many` evaluates the
-sum for many points at once, as one array over points x pieces; the terms of
-each point are added exactly (``math.fsum``), so a point's result does not
-depend on the points evaluated with it.  It takes the points as an (n, 3)
+sum for many points at once, as one array over points x pieces.  The terms
+of each point are added exactly rounded, to the bits ``math.fsum`` gives:
+:func:`_row_sums` sums every row of the array with a certified TwoSum tree
+once it has a few thousand terms, and with ``math.fsum`` below that.  So a
+point's result does not depend on the points evaluated with it.  Values-only
+calls skip the gradient terms and their size bounds.  It takes the points
+as an (n, 3)
 array of (x, y, z) rows or as a sequence of ``H3Point``, and returns one
 :class:`MeasureValues` record: read-only arrays of values, error bounds and
 convergence flags, plus the (n, 3) gradients and their error bounds when
@@ -33,8 +37,9 @@ asked.  Callers work on those arrays; ``record[i]`` is the
 :func:`measure_with_gradient` return for one point.
 
 Every evaluation takes a domain or its prepared ``BoundaryPieces``; a domain
-has its arrangement built on entry.  Building it costs about as much as
-evaluating a few points, so the drivers that evaluate one region many times
+has its arrangement built on first use and kept on the domain object.
+Building it costs about as much as evaluating a few points, so the drivers
+that evaluate one region many times
 (the dogbone experiment, the axis root solve and Hessians, Newton
 refinement, the verdict's scans and the level solves of
 :func:`~tunnelvision.greens.find_quantizable`) build the pieces once and
@@ -60,7 +65,8 @@ heights next to a corner the gradient error can exceed it).  The terms
 multiply up to four lengths of size at most S + z.  Once S + z passes 1e76
 those products can overflow, and a lost term leaves a plausible value (1/2
 for a unit disk seen from height 1e80), so such a row gets an infinite
-error and is never converged.
+error and is never converged.  Domains whose parameters pass that length
+are rejected when they are built (``domains._LENGTH_MAX``).
 
 The adaptive Gauss-Kronrod integral over angle of the polar decomposition
 (:func:`ray_quadrature`) is kept as an independent reference for tests.
@@ -77,7 +83,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import BoundaryPieces, PlanarDomain, boundary_pieces
+from .domains import (_LENGTH_MAX, BoundaryPieces, PlanarDomain, _frozen,
+                      boundary_pieces)
 from .hyperbolic import H3Point
 from .quadrature import adaptive_integrate
 
@@ -96,7 +103,6 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 _ROUND = 8.0 * 2.0**-53  # eight unit roundoffs
-_LENGTH_MAX = 1e76  # its fourth power, times small constants, stays finite
 
 
 @dataclass(frozen=True)
@@ -145,10 +151,10 @@ def disk_closed_form(rho: float, z: float) -> float:
 
 # -- the boundary sum -------------------------------------------------------------
 #
-# Each helper returns (n points, terms) arrays: the terms of 2 pi f, the
-# complex terms of df/dx + i df/dy, the terms of df/dz, bounds on the size of
-# what enters each gradient term (xy, z), and the kernel mass along each
-# piece, oint P ds.
+# Each helper returns (n points, terms) arrays: the terms of 2 pi f and the
+# kernel mass along each piece, oint P ds; with ``gradient`` also the complex
+# terms of df/dx + i df/dy, the terms of df/dz and bounds on the size of what
+# enters each gradient term (xy, z).
 
 
 def _atan_step(t0, t1, length, D, D2):
@@ -167,7 +173,7 @@ def _ratio(t, D2):
     return np.where(fin, a / (a * a + D2), 0.0)
 
 
-def _segment_terms(pc: BoundaryPieces, w, z):
+def _segment_terms(pc: BoundaryPieces, w, z, gradient):
     u = pc.seg_dir
     rel = pc.seg_anchor - w
     c = rel.real * u.imag - rel.imag * u.real      # distance of w left of the line
@@ -179,13 +185,15 @@ def _segment_terms(pc: BoundaryPieces, w, z):
     r0, r1 = _ratio(t0, D2), _ratio(t1, D2)
     # J = int dt / (t^2 + D^2)^2 over the piece
     J = (r1 - r0) / (2.0 * D2) + dat / (2.0 * D * D2)
-    J_size = (np.abs(r1) + np.abs(r0)) / (2.0 * D2) + dat / (2.0 * D * D2)
     k = z * z / math.pi
-    return (c / D * dat, 1j * u * k * J, -(z * c / math.pi) * J,
-            k * J_size, (z * np.abs(c) / math.pi) * J_size, k * J)
+    if not gradient:
+        return c / D * dat, k * J
+    J_size = (np.abs(r1) + np.abs(r0)) / (2.0 * D2) + dat / (2.0 * D * D2)
+    return (c / D * dat, k * J, 1j * u * k * J, -(z * c / math.pi) * J,
+            k * J_size, (z * np.abs(c) / math.pi) * J_size)
 
 
-def _arc_terms(pc: BoundaryPieces, w, z):
+def _arc_terms(pc: BoundaryPieces, w, z, gradient):
     r, sweep = pc.arc_radius, pc.arc_sweep
     d = pc.arc_center - w
     ad = np.abs(d)
@@ -205,31 +213,124 @@ def _arc_terms(pc: BoundaryPieces, w, z):
                                                      pc.arc_start + sweep]))
     Qa, Qb = np.abs(ends[0] - w) ** 2 + z * z, np.abs(ends[1] - w) ** 2 + z * z
     sin_q = np.sin(tb) / Qb - np.sin(ta) / Qa      # [sin(theta) / Q]
-    sin_q_size = np.abs(np.sin(tb) / Qb) + np.abs(np.sin(ta) / Qa)
     K2 = K * K
     I2 = (A * I1 - C * sin_q) / K2                 # int dtheta / Q^2
+    k = z * z * r / math.pi
+    value = np.concatenate([np.broadcast_to(0.5 * sweep, I1.shape), h * I1], axis=1)
+    if not gradient:
+        return value, k * np.abs(I2)
+    sin_q_size = np.abs(np.sin(tb) / Qb) + np.abs(np.sin(ta) / Qa)
     Ic = (A * sin_q - C * I1) / K2                 # int cos(theta) dtheta / Q^2
     Is = (np.cos(ta) - np.cos(tb)) / (Qa * Qb)     # int sin(theta) dtheta / Q^2
     I2_size = (A * np.abs(I1) + C * sin_q_size) / K2
     Ic_size = (A * sin_q_size + C * np.abs(I1)) / K2
     Is_size = (np.abs(np.cos(ta)) + np.abs(np.cos(tb))) / (Qa * Qb)
-    k = z * z * r / math.pi
     gxy = -k * np.exp(1j * theta_d) * (Ic + 1j * Is)
     gz = -(z / math.pi) * (0.5 * I1 + h * I2)
     gz_size = (z / math.pi) * (0.5 * np.abs(I1) + np.abs(h) * I2_size)
-    value = np.concatenate([np.broadcast_to(0.5 * sweep, I1.shape), h * I1], axis=1)
-    return value, gxy, gz, k * (Ic_size + Is_size), gz_size, k * np.abs(I2)
+    return value, k * np.abs(I2), gxy, gz, k * (Ic_size + Is_size), gz_size
 
 
-def _fsum_rows(terms):
-    """Exactly rounded sum of each row."""
-    return np.array([math.fsum(row) for row in terms.tolist()])
+# -- exactly rounded row sums -----------------------------------------------------
+#
+# Below this many terms an array's rows go straight to math.fsum: the tree
+# and its certificate cost a fixed ~45 numpy calls, ~50 us, which per-row
+# fsum undercuts on small arrays.  Measured on both callers (numpy 2.4,
+# x86-64, best of 7): the dogbone's boundary sums, 23 value and 3 x 12
+# gradient terms a row, break even near 2,000 terms for values (80 points:
+# 61 us with fsum against 65 us; 100 points: 76 us against 65 us) and near
+# 1,600 for gradients (60 points, 2,160 terms: 75 us against 60 us); a
+# Green's series shell, one row, near 2,700 terms (2,500: 70 us against
+# 80 us; 3,000: 94 us against 82 us).  So 1-14-point calls and shells 0-3
+# keep fsum; grid scans, 200-sample profiles and shells 4-6 take the tree.
+_ROW_SUM_MIN = 2000
 
 
-def _frozen(values) -> np.ndarray:
-    arr = np.asarray(values).view()
-    arr.flags.writeable = False
-    return arr
+def _fsum_rows(x: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of every row of ``x``, one Python call per row."""
+    rows = x.reshape(math.prod(x.shape[:-1]), x.shape[-1]).tolist()
+    return np.array([math.fsum(row) for row in rows]).reshape(x.shape[:-1])
+
+
+def _two_sum_tree(x: np.ndarray):
+    """Pairwise sum along the first axis of ``x`` and the exact error of every addition.
+
+    Each level adds the first half of the rows to the second (an odd last
+    row is carried up) and keeps Knuth's TwoSum error: for s = fl(a + b) and
+    t = s - a, (a - (s - t)) + (b - t) equals a + b - s exactly, barring
+    overflow.  So the true sum is the returned sum plus the sum of the
+    returned errors, one per addition: ``len(x) - 1`` rows.
+    """
+    errors = np.empty((len(x) - 1, *x.shape[1:]))
+    done = 0
+    while len(x) > 1:
+        half, odd = divmod(len(x), 2)
+        a, b = x[:half], x[half:2 * half]
+        s = np.empty((half + odd, *x.shape[1:]))
+        np.add(a, b, out=s[:half])
+        if odd:
+            s[half] = x[-1]
+        t = s[:half] - a
+        e = errors[done:done + half]
+        np.subtract(s[:half], t, out=e)
+        np.subtract(a, e, out=e)
+        np.subtract(b, t, out=t)
+        np.add(e, t, out=e)
+        done += half
+        x = s
+    return x[0], errors
+
+
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of every row of an (..., m) array, bit for bit.
+
+    A TwoSum tree gives each row's sum ``hi`` and the exact errors of its
+    m - 1 additions, so the exact sum is hi + (sum of the errors).  The
+    errors are added plainly to ``lo``, which is exact when at most one of
+    them is nonzero and otherwise off by at most delta = 2 m u (sum of their
+    sizes), u = 2**-53 (any order of summation errs by less than (m - 2) u
+    times that sum).  With r = fl(hi + lo) and its error t, the exact sum is
+    r + t + (sum of the errors - lo).  r is the correctly rounded sum when lo
+    is exact, or when |t| + delta lies strictly within half the float gap at
+    r (a quarter of the gap above when |r| is a power of two, as the gap
+    below is half as wide).  Correct rounding is unique, so a certified r is
+    what ``math.fsum`` returns (the cascaded sum of Ogita, Rump & Oishi,
+    *Accurate sum and dot product*, 2005, with a certificate of its
+    rounding).
+
+    ``math.fsum`` sums the rows whose r is zero or uncertified, the rows
+    with a term of size 2**1023 / m or more (where fsum's running sum can
+    overflow and raise; non-finite terms among them), and every row of an
+    array of fewer than ``_ROW_SUM_MIN`` terms.  Returns an array of shape
+    ``x.shape[:-1]``; fsum's exceptions propagate.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.size < _ROW_SUM_MIN or x.size == 0:
+        return _fsum_rows(x)
+    m = x.shape[-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        hi, errors = _two_sum_tree(np.moveaxis(x, -1, 0))
+        lo = errors.sum(axis=0)
+        r = hi + lo
+        t = (hi - (r - (r - hi))) + (lo - (r - hi))
+        # the smallest subnormal also covers an underflowing product
+        delta = 2.0 * m * 2.0**-53 * np.abs(errors).sum(axis=0) + 5e-324
+        power_of_two = np.abs(np.frexp(r)[0]) == 0.5
+        gap = np.spacing(np.abs(r)) * np.where(power_of_two, 0.25, 0.5)
+        # one test over the whole array, and row by row only when it fails
+        # (a row reduction costs more than the tree on short rows)
+        limit = 2.0**1023 / m
+        safe = np.maximum(x.max(), -x.min()) < limit
+        if not safe:
+            safe = np.maximum(x.max(axis=-1), -x.min(axis=-1)) < limit
+        certified = ((r != 0.0) & safe
+                     & ((np.count_nonzero(errors, axis=0) <= 1) | (np.abs(t) + delta < gap)))
+    out = np.where(certified, r, 0.0)
+    rest = np.flatnonzero(~certified)
+    if rest.size:
+        rows = x.reshape(out.size, m)[rest]
+        out.reshape(-1)[rest] = [math.fsum(row) for row in rows.tolist()]
+    return out
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -302,9 +403,10 @@ def measure_many(domain: PlanarDomain | BoundaryPieces, points,
     w = w[:, None]
     z = np.ascontiguousarray(xyz[:, 2])[:, None]
     pc = boundary_pieces(domain)
-    terms, gxy, gz, gxy_size, gz_size, mass = (
+    terms, mass, *grad_parts = (
         np.concatenate(parts, axis=1)
-        for parts in zip(_segment_terms(pc, w, z), _arc_terms(pc, w, z)))
+        for parts in zip(_segment_terms(pc, w, z, gradient),
+                         _arc_terms(pc, w, z, gradient)))
     terms = np.concatenate([terms, np.full((n, 1), pc.at_infinity)], axis=1)
     mass = mass.sum(axis=1)
     scale = np.abs(w[:, 0]) + pc.extent
@@ -313,14 +415,14 @@ def measure_many(domain: PlanarDomain | BoundaryPieces, points,
     overflow = scale + z[:, 0] > _LENGTH_MAX
     err[overflow] = math.inf
     # clipped to [0, 1] as min(max(v, 0), 1) does: -0.0 and NaN pass as they are
-    values = _fsum_rows(terms) / _TWO_PI
+    values = _row_sums(terms) / _TWO_PI
     values = np.where(values < 0.0, 0.0, values)
     values = np.where(values > 1.0, 1.0, values)
     if not gradient:
         return MeasureValues(values, err, err <= config.tolerance)
 
-    grads = np.stack([_fsum_rows(gxy.real), _fsum_rows(gxy.imag), _fsum_rows(gz)],
-                     axis=1)
+    gxy, gz, gxy_size, gz_size = grad_parts
+    grads = _row_sums(np.stack([gxy.real, gxy.imag, gz], axis=1))
     shift = _ROUND * scale * 4.0 * mass / z[:, 0]  # |grad P| <= 4 P / z
     xy_err = _ROUND * gxy_size.sum(axis=1) + shift
     z_err = _ROUND * gz_size.sum(axis=1) + shift

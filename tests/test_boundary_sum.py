@@ -7,12 +7,14 @@ boundary integrals with exact corners, and central differences.
 
 import cmath
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tunnelvision import measure
 from tunnelvision.domains import (Difference, Disk, HalfPlane, Intersection,
                                   SimplePolygon, Union, boundary_pieces,
                                   dogbone)
@@ -214,3 +216,42 @@ def test_pieces_are_counted_once():
     assert pc.at_infinity == pytest.approx(math.pi, abs=1e-15)
     pc = boundary_pieces(Union(Disk(0.2, 0.7), Disk(0.2, 0.7)))
     assert len(pc.arc_radius) == 1 and pc.arc_sweep[0] == 2.0 * math.pi
+
+
+# -- row sums against math.fsum row by row -----------------------------------------
+
+_RECORD = ("values", "errors", "converged", "gradients", "gradient_errors")
+
+
+def _fsum_each_row(x):
+    """The reference: ``math.fsum`` over every row, one call per row."""
+    rows = x.reshape(math.prod(x.shape[:-1]), x.shape[-1]).tolist()
+    return np.array([math.fsum(row) for row in rows]).reshape(x.shape[:-1])
+
+
+def _record_bytes(record):
+    return [None if getattr(record, name) is None else getattr(record, name).tobytes()
+            for name in _RECORD]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_trees, st.integers(0, 2**32 - 1))
+def test_row_sums_give_fsum_bits_at_every_batch_size(domain, seed):
+    # batches of 1 and 2 points, and batches just below and at or above the
+    # kernel's size cut-off for both the value and the gradient terms
+    pc = boundary_pieces(domain)
+    width_value = len(pc.seg_lo) + 2 * len(pc.arc_radius) + 1
+    width_grad = 3 * (len(pc.seg_lo) + len(pc.arc_radius))
+    below = (measure._ROW_SUM_MIN - 1) // max(width_value, width_grad)
+    above = -(-measure._ROW_SUM_MIN // max(min(width_value, width_grad), 1))
+    rng = np.random.default_rng(seed)
+    for n in sorted({1, 2, max(below, 1), above}):
+        pts = np.column_stack([rng.uniform(-1.2, 1.2, n), rng.uniform(-1.2, 1.2, n),
+                               10.0 ** rng.uniform(-3.0, math.log10(4.0), n)])
+        got = measure_many(pc, pts, gradient=True)
+        with mock.patch.object(measure, "_row_sums", _fsum_each_row):
+            want = measure_many(pc, pts, gradient=True)
+        assert _record_bytes(got) == _record_bytes(want), n
+        values_only = measure_many(pc, pts)
+        assert values_only.gradients is None and values_only.gradient_errors is None
+        assert _record_bytes(values_only)[:3] == _record_bytes(got)[:3], n

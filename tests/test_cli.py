@@ -125,6 +125,27 @@ def test_measure_rejects_nonfinite_or_malformed_domain(spec, tmp_path, capsys):
     assert not (out / "measure.manifest.json").exists()
 
 
+@pytest.mark.parametrize("spec, name", [
+    ('{"disk": {"c": [0, 0], "r": 1e300}}', "disk center + radius"),
+    ('{"halfplane": {"n": [0, 1], "offset": 1e300}}', "half-plane offset"),
+    ('{"polygon": {"vertices": [[-1e308, -1e308], [1e308, -1e308], '
+     '[1e308, 1e308], [-1e308, 1e308]]}}', "polygon vertex"),
+])
+def test_measure_rejects_lengths_beyond_the_boundary_sum(spec, name, tmp_path, capsys):
+    # these printed "nan inf" and "0.5 inf" with exit 2, and the square was
+    # called self-intersecting
+    path = tmp_path / "huge.json"
+    path.write_text(spec)
+    out = tmp_path / "out"
+    rc = main(["measure", "--domain", str(path), "--point", "0", "0", "1",
+               "--out-dir", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid domain specification" in captured.err and name in captured.err
+    assert not (out / "measure.manifest.json").exists()
+
+
 @pytest.mark.parametrize("args, message", [
     (["group", "--genus", "1", "--depth", "2"], "--genus"),
     (["group", "--genus", "2", "--depth", "0"], "--depth"),

@@ -1,11 +1,14 @@
+import copy
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
+from tunnelvision import domains
 from tunnelvision.domains import (Difference, Disk, HalfPlane, Intersection,
                                   SimplePolygon, Union, boundary_pieces,
                                   dogbone, domain_from_obj)
@@ -250,3 +253,68 @@ def test_bounding_radii(dogbone01):
     assert math.isinf(HalfPlane(1j, 0.0).bounding_radius)
     assert Intersection(HalfPlane(1j, 0.0), Disk(0, 2.0)).bounding_radius == 2.0
     assert Difference(Disk(0, 1.0), HalfPlane(1j, 0.0)).bounding_radius == 1.0
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: Disk(0j, 1e77), "disk center"),
+    (lambda: Disk(complex(6e75, 0.0), 6e75), "disk center"),
+    (lambda: Disk(complex(1.5e308, 1.5e308), 1.0), "disk center"),  # |c| overflows
+    (lambda: HalfPlane(complex(1.5e308, 1.5e308), 0.0), "finite nonzero normal"),
+    (lambda: HalfPlane(1j, 1e300), "half-plane offset"),
+    (lambda: HalfPlane(1j, -2e76), "half-plane offset"),
+    (lambda: SimplePolygon((0j, 1e77 + 0j, 1j)), "polygon vertex"),
+    # not "self-intersecting": the vertices are rejected before the edge test
+    (lambda: SimplePolygon((complex(-1e308, -1e308), complex(1e308, -1e308),
+                            complex(1e308, 1e308), complex(-1e308, 1e308))),
+     "polygon vertex"),
+])
+def test_primitives_reject_lengths_beyond_the_boundary_sum(build, name):
+    # the boundary sum multiplies up to four lengths; past 1e76 they overflow
+    with pytest.raises(ValueError, match=name):
+        build()
+
+
+def test_primitives_accept_lengths_up_to_the_limit():
+    assert Disk(complex(5e75, 0.0), 5e75).radius == 5e75
+    assert HalfPlane(1j, -1e76).offset == -1e76
+    assert len(SimplePolygon((0j, 1e76 + 0j, 1e76j)).vertices) == 3
+
+
+_CACHED = [dogbone(0.1), Disk(0.3 - 0.2j, 0.5), HalfPlane(1j, 0.2),
+           SimplePolygon((0, 1, 1 + 1j)), Difference(Disk(0, 1.0), Disk(0.4, 0.2))]
+
+
+@pytest.mark.parametrize("domain", _CACHED, ids=repr)
+def test_arrangement_is_built_once_and_kept_read_only(domain):
+    before = (repr(domain), hash(domain), domain.to_obj(), pickle.dumps(domain))
+    pc = boundary_pieces(domain)
+    assert boundary_pieces(domain) is pc
+    for name in ("seg_anchor", "seg_dir", "seg_lo", "seg_hi",
+                 "arc_center", "arc_radius", "arc_start", "arc_sweep"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(pc, name)[...] = 0
+    # the kept arrangement changes none of the domain's identity or wire forms
+    assert (repr(domain), hash(domain), domain.to_obj(), pickle.dumps(domain)) == before
+    for twin in (pickle.loads(pickle.dumps(domain)), copy.deepcopy(domain),
+                 domain_from_obj(domain.to_obj())):
+        assert twin == domain and hash(twin) == hash(domain)
+        fresh = boundary_pieces(twin)
+        assert fresh is not pc
+        assert [getattr(fresh, f).tobytes() for f in ("seg_lo", "arc_sweep")] == \
+            [getattr(pc, f).tobytes() for f in ("seg_lo", "arc_sweep")]
+
+
+def test_verdict_and_zero_locus_share_one_arrangement(monkeypatch):
+    from tunnelvision import critical, forms
+    builds, build = [0], domains._arrangement
+
+    def counting(domain):
+        builds[0] += 1
+        return build(domain)
+
+    monkeypatch.setattr(domains, "_arrangement", counting)
+    d = dogbone(0.1)
+    grid = critical.GridSpec.for_domain(d, 4)
+    critical.almost_kahler_verdict(d, grid, threads=1)
+    forms.zero_locus_report(d, grid, threads=1)
+    assert builds[0] == 1

@@ -1,18 +1,19 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tunnelvision import greens
+from tunnelvision import greens, measure
 from tunnelvision.domains import Disk
 from tunnelvision.greens import (NonConvergentSeriesError, PoleCollisionError,
-                                 PointConfiguration, _exact_sum, find_quantizable,
+                                 PointConfiguration, find_quantizable,
                                  green_flux, h3_green, potential_V,
                                  quantization_sum, quotient_green)
 from tunnelvision.groups import enumerate_group
 from tunnelvision.hyperbolic import H3Point, h3_distance, laplace_beltrami
-from tunnelvision.measure import MeasureValues, QuadratureConfig
+from tunnelvision.measure import MeasureValues, QuadratureConfig, _row_sums
 
 CFG = QuadratureConfig(tolerance=1e-9)
 
@@ -127,9 +128,16 @@ def test_quotient_shell_sums_frozen(quotient_setup):
 def _sum_outcome(total, values):
     """The sum's hex, or the type of the error it raises."""
     try:
-        return total(values).hex()
+        return float(total(values)).hex()
     except (OverflowError, ValueError) as exc:
         return type(exc)
+
+
+def _certified(x):
+    """The row-sum kernel on ``x`` with its size cut-off lifted, so the
+    TwoSum tree and its certificate run even on a few terms."""
+    with mock.patch.object(measure, "_ROW_SUM_MIN", 0):
+        return _row_sums(x)
 
 
 _signed = st.sampled_from([1.0, -1.0])
@@ -149,7 +157,32 @@ _terms = st.tuples(
 @given(_terms)
 def test_exact_sum_is_fsum_bit_for_bit(terms):
     x = np.array(terms, dtype=float)
-    assert _sum_outcome(_exact_sum, x) == _sum_outcome(math.fsum, x.tolist())
+    assert _sum_outcome(_certified, x) == _sum_outcome(math.fsum, x.tolist())
+
+
+def _rows_outcome(total, rows):
+    """Every row sum's hex, or the type of the error the sum raises."""
+    try:
+        return [v.hex() for v in total(rows).tolist()]
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+def _fsum_each(rows):
+    return np.array([math.fsum(row) for row in rows.tolist()])
+
+
+@settings(max_examples=150)
+@given(st.lists(_terms, min_size=1, max_size=6))
+def test_exact_sum_rows_are_fsum_bit_for_bit(drawn):
+    # rows of equal length (zero-padded): as drawn, below the kernel's size
+    # cut-off; certified; and tiled to at least the cut-off
+    m = max(map(len, drawn))
+    rows = np.array([row + [0.0] * (m - len(row)) for row in drawn]).reshape(len(drawn), m)
+    tiled = np.tile(rows, (-(-measure._ROW_SUM_MIN // max(rows.size, 1)), 1))
+    assert tiled.size >= measure._ROW_SUM_MIN or m == 0
+    for x, total in ((rows, _row_sums), (rows, _certified), (tiled, _row_sums)):
+        assert _rows_outcome(total, x) == _rows_outcome(_fsum_each, x)
 
 
 @pytest.fixture
@@ -179,16 +212,27 @@ def fsum_calls(monkeypatch):
 ])
 def test_exact_sum_certifies_or_falls_back(fsum_calls, terms, expected, fallbacks):
     x = np.array(terms, dtype=float)
-    assert _exact_sum(x).hex() == expected  # math.fsum's result, checked by hand
+    assert float(_certified(x)).hex() == expected  # math.fsum's result, checked by hand
     assert fsum_calls[0] == fallbacks
 
 
 def test_exact_sum_fallback_raises_as_fsum(fsum_calls):
     with pytest.raises(OverflowError):
-        _exact_sum(np.array([1.5e308, 1.5e308]))
+        _certified(np.array([1.5e308, 1.5e308]))
     with pytest.raises(ValueError):
-        _exact_sum(np.array([math.inf, -math.inf]))
+        _certified(np.array([math.inf, -math.inf]))
     assert fsum_calls[0] == 2
+
+
+@pytest.mark.parametrize("terms", [[1e308, 1e308, -1e308, 1.0],
+                                   [1e308, -1e308, 1e308, 1e308, -1e308]])
+def test_exact_sum_raises_where_fsum_overflows(terms):
+    # the tree adds these without overflow and would certify 1e308, but
+    # fsum's running sum passes the float range and raises
+    with pytest.raises(OverflowError):
+        math.fsum(terms)
+    with pytest.raises(OverflowError):
+        _certified(np.array(terms))
 
 
 @pytest.mark.parametrize("pole, q", [
@@ -197,9 +241,12 @@ def test_exact_sum_fallback_raises_as_fsum(fsum_calls):
     (H3Point(0.0, 0.0, 1.0), H3Point(0.25, 0.1, 1.2)),
 ])
 def test_shell_sums_are_certified(genus2_elements, fsum_calls, pole, q):
-    # every shell of a depth-6 series is certified: no fallback to math.fsum
+    # every shell of a depth-6 series at or above the kernel's size cut-off
+    # (shells 4-6, of 2,736, 19,096 and 133,288 terms) is certified:
+    # math.fsum runs once per smaller shell and never as a fallback
     sums = greens._shell_sums(genus2_elements.matrices, genus2_elements.lengths, pole, q)
-    assert len(sums) == 7 and fsum_calls[0] == 0
+    small = np.bincount(genus2_elements.lengths) < measure._ROW_SUM_MIN
+    assert len(sums) == 7 and small.sum() == 4 and fsum_calls[0] == small.sum()
 
 
 def test_quotient_value_within_tail_of_deeper_truncation(quotient_setup):
