@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import BoundaryPieces, PlanarDomain, boundary_pieces, dogbone
+from .domains import PlanarDomain, boundary_pieces, dogbone
 from .hyperbolic import H3Point
 from .measure import MeasureValue, MeasureValues, QuadratureConfig, measure_many
 
@@ -102,15 +102,18 @@ class CriticalPointReport:
 
 @dataclass(frozen=True)
 class Verdict:
-    status: str  # "no_critical_point_found" | "critical_points_found"
+    """The search's reports and coverage; ``status`` is read from the reports."""
+
     reports: tuple
     coverage: dict
 
-    def __post_init__(self):
-        found = any(r.conclusive for r in self.reports)
-        want = "critical_points_found" if found else "no_critical_point_found"
-        if self.status != want:
-            raise ValueError(f"status {self.status!r} inconsistent with reports")
+    @property
+    def status(self) -> str:
+        """``critical_points_found`` when a report is conclusive, else
+        ``no_critical_point_found``."""
+        if any(r.conclusive for r in self.reports):
+            return "critical_points_found"
+        return "no_critical_point_found"
 
     def to_obj(self):
         return {
@@ -180,13 +183,9 @@ def _hyperbolic_norms(points, g):
     return points[:, 2] * np.sqrt((g[:, None, :] @ g[:, :, None])[:, 0, 0])
 
 
-def axis_profile(domain: PlanarDomain | BoundaryPieces, z_min: float,
-                 z_max: float, n: int,
+def axis_profile(domain: PlanarDomain, z_min: float, z_max: float, n: int,
                  config: QuadratureConfig = QuadratureConfig()) -> AxisProfile:
-    """Log-spaced samples of the measure along the axis through 0.
-
-    ``domain`` may be the region's prepared boundary pieces.
-    """
+    """Log-spaced samples of the measure along the axis through 0."""
     if not 0.0 < z_min < z_max:
         raise ValueError("need 0 < z_min < z_max")
     if n < 2:
@@ -247,7 +246,7 @@ _STENCIL = np.array([[0, 0, 0], [1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0],
                      [0, 0, 1], [0, 0, -1]], dtype=float)
 
 
-def _with_hessians(pieces, points, config):
+def _with_hessians(domain, points, config):
     """Measures, gradients and coordinate Hessians at k points (k, 3), in one evaluation.
 
     Each point is evaluated together with its Hessian stencil, 7 rows per
@@ -258,7 +257,7 @@ def _with_hessians(pieces, points, config):
     """
     points = np.asarray(points, dtype=float)
     h = np.maximum(1e-4, 2e-3 * points[:, 2])[:, None, None]
-    record = measure_many(pieces, (points[:, None, :] + h * _STENCIL).reshape(-1, 3),
+    record = measure_many(domain, (points[:, None, :] + h * _STENCIL).reshape(-1, 3),
                           config, gradient=True)
     grads = record.gradients.reshape(-1, 7, 3)
     centres = MeasureValues(record.values[0::7], record.errors[0::7],
@@ -269,7 +268,7 @@ def _with_hessians(pieces, points, config):
     return centres, 0.5 * (H + H.transpose(0, 2, 1))
 
 
-def axis_critical_points(profile: AxisProfile, domain: PlanarDomain | BoundaryPieces,
+def axis_critical_points(profile: AxisProfile, domain: PlanarDomain,
                          refine_tol: float = 1e-6,
                          config: QuadratureConfig = QuadratureConfig()):
     """Locate and classify interior extrema of the axis profile.
@@ -291,13 +290,9 @@ def axis_critical_points(profile: AxisProfile, domain: PlanarDomain | BoundaryPi
     holds on a region invariant under ``zeta -> -zeta``; on any other
     region the axis is not a gradient line, and its extrema are reported
     but not conclusive.
-
-    ``domain`` may be a bounded domain or its prepared ``BoundaryPieces``.
     """
-    if (not isinstance(domain, BoundaryPieces)
-            and not math.isfinite(domain.bounding_radius)):
+    if not math.isfinite(domain.bounding_radius):
         raise ValueError("axis search requires a bounded domain")
-    pieces = boundary_pieces(domain)
     z = profile.z
     df = np.diff(profile.f)
     # brackets z[i] .. z[i+2], where the discrete derivative changes sign
@@ -305,14 +300,14 @@ def axis_critical_points(profile: AxisProfile, domain: PlanarDomain | BoundaryPi
     if not len(i):
         return []
     # df/dz at both ends of every bracket, in one batched evaluation
-    ends = measure_many(pieces, _axis_points(np.stack([z[i], z[i + 2]], axis=1).ravel()),
+    ends = measure_many(domain, _axis_points(np.stack([z[i], z[i + 2]], axis=1).ravel()),
                         config, gradient=True)
     slope = ends.gradients[:, 2].reshape(-1, 2)
     slope_err = ends.gradient_errors[:, 2].reshape(-1, 2)
     converged = ends.converged.reshape(-1, 2)
 
     def dfdz(_, zs):
-        return measure_many(pieces, _axis_points(zs), config,
+        return measure_many(domain, _axis_points(zs), config,
                             gradient=True).gradients[:, 2].tolist()
 
     is_max = df[i] > 0.0
@@ -330,7 +325,7 @@ def axis_critical_points(profile: AxisProfile, domain: PlanarDomain | BoundaryPi
 
     # every report's value, gradient and Hessian, in one evaluation
     at = _axis_points(z_star)
-    centres, hessians = _with_hessians(pieces, at, config)
+    centres, hessians = _with_hessians(domain, at, config)
     norms = _hyperbolic_norms(at, centres.gradients)
     conclusive &= np.all(np.abs(centres.gradients[:, :2])
                          <= centres.gradient_errors[:, :2], axis=1)
@@ -384,13 +379,13 @@ def dogbone_experiment(epsilon: float,
     did not converge.  Returns a DogboneReport together with the axis
     profile used for the search.  ``threads`` is accepted and has no effect.
     """
-    pieces = boundary_pieces(dogbone(epsilon))
-    f_eps, f_one = measure_many(pieces, _axis_points([epsilon, 1.0]), config)
+    domain = dogbone(epsilon)
+    f_eps, f_one = measure_many(domain, _axis_points([epsilon, 1.0]), config)
     holds = f_eps.value + f_eps.error < f_one.value - f_one.error
     separated = holds or f_one.value + f_one.error < f_eps.value - f_eps.error
     window = (epsilon**2, 10.0)
-    profile = axis_profile(pieces, window[0], window[1], n_samples, config)
-    cps = axis_critical_points(profile, pieces, refine_tol, config)
+    profile = axis_profile(domain, window[0], window[1], n_samples, config)
+    cps = axis_critical_points(profile, domain, refine_tol, config)
     report = DogboneReport(
         epsilon=epsilon,
         f_at_eps=f_eps,
@@ -405,7 +400,7 @@ def dogbone_experiment(epsilon: float,
     return report, profile
 
 
-def refine_critical_point_3d(domain: PlanarDomain | BoundaryPieces, p0: H3Point,
+def refine_critical_point_3d(domain: PlanarDomain, p0: H3Point,
                              tol: float, config: QuadratureConfig = QuadratureConfig(),
                              max_steps: int = 30) -> CriticalPointReport:
     """Damped Newton refinement of the gradient zero near ``p0``.
@@ -416,16 +411,16 @@ def refine_critical_point_3d(domain: PlanarDomain | BoundaryPieces, p0: H3Point,
     Newton step from the iterate has hyperbolic length ``|step| / z`` below
     ``tol``, so a point where the gradient is merely small (near the plane,
     say) is not returned unmoved.  Raises RefinementError on divergence or
-    when the iterate leaves the box |x + iy| < 2 ``pieces.extent``,
-    p0.z / 64 < z < 64 p0.z.  ``domain`` may be the region's prepared pieces.
+    when the iterate leaves the box |x + iy| < 2 R, p0.z / 64 < z < 64 p0.z,
+    where R is the ``extent`` of the domain's boundary pieces.
     """
-    pieces = boundary_pieces(domain)
+    xy_max = 2.0 * boundary_pieces(domain).extent
     z_lo, z_hi = p0.z / 64.0, p0.z * 64.0
 
     def evaluate(point):
         """Measure, gradient, Hessian and z |grad f| at point (x, y, z), in one call."""
         at = point[None]
-        centres, hessians = _with_hessians(pieces, at, config)
+        centres, hessians = _with_hessians(domain, at, config)
         norm = float(_hyperbolic_norms(at, centres.gradients)[0])
         return centres[0], centres.gradients[0], hessians[0], norm
 
@@ -446,8 +441,7 @@ def refine_critical_point_3d(domain: PlanarDomain | BoundaryPieces, p0: H3Point,
         improved = False
         while lam > 1.0 / 64.0:
             cand = p.as_array() + lam * step
-            if (abs(complex(cand[0], cand[1])) > 2.0 * pieces.extent
-                    or not z_lo < cand[2] < z_hi):
+            if abs(complex(cand[0], cand[1])) > xy_max or not z_lo < cand[2] < z_hi:
                 raise RefinementError(f"left the search box at {cand}")
             q = H3Point(*cand)
             mv2, grad2, H2, norm2 = evaluate(cand)
@@ -466,7 +460,7 @@ def refine_critical_point_3d(domain: PlanarDomain | BoundaryPieces, p0: H3Point,
 SQRT2 = math.sqrt(2.0)
 
 
-def form_norm_grid(domain: PlanarDomain | BoundaryPieces, grid: GridSpec,
+def form_norm_grid(domain: PlanarDomain, grid: GridSpec,
                    quad: QuadratureConfig = QuadratureConfig()):
     """The table (x, y, z, omega_norm_g0, weighted_norm) over a search grid.
 
@@ -477,7 +471,7 @@ def form_norm_grid(domain: PlanarDomain | BoundaryPieces, grid: GridSpec,
     stays near 2 sqrt(2) there and small values mark interior zeros.
     Returns ``(table, record)``, the second the grid's :class:`MeasureValues`
     (with gradients), whose ``converged`` flags the evaluations that did not
-    converge.  ``domain`` may be the region's prepared boundary pieces.
+    converge.
     """
     pts = grid.points()
     record = measure_many(domain, pts, quad, gradient=True)
@@ -512,7 +506,7 @@ def _clusters(hits):
                  for first in flat[label == flat])
 
 
-def _zero_clusters(pieces: BoundaryPieces, grid: GridSpec, config: QuadratureConfig,
+def _zero_clusters(domain: PlanarDomain, grid: GridSpec, config: QuadratureConfig,
                    threshold: float):
     """The off-axis search: scan, threshold, cluster, one Newton per cluster.
 
@@ -521,19 +515,19 @@ def _zero_clusters(pieces: BoundaryPieces, grid: GridSpec, config: QuadratureCon
     tolerance 10 tol.  Returns the table, its record, the hit rows (lists),
     the clusters and per cluster its report, or None where Newton failed.
     """
-    table, record = form_norm_grid(pieces, grid, config)
+    table, record = form_norm_grid(domain, grid, config)
     hits = table[:, 4] < threshold
     clusters = _clusters(hits.reshape([len(axis) for axis in grid.axes()]))
     rows = table[hits].tolist()
     seeds = [rows[min(comp, key=lambda n: rows[n][3])] for comp in clusters]
-    refined = [_newton(pieces, H3Point(*seed[:3]), config) for seed in seeds]
+    refined = [_newton(domain, H3Point(*seed[:3]), config) for seed in seeds]
     return table, record, rows, clusters, refined
 
 
-def _newton(pieces, seed: H3Point, config) -> CriticalPointReport | None:
+def _newton(domain, seed: H3Point, config) -> CriticalPointReport | None:
     """The search's Newton run from ``seed``, at tolerance 10 tol; None where it fails."""
     try:
-        return refine_critical_point_3d(pieces, seed, 10.0 * config.tolerance, config)
+        return refine_critical_point_3d(domain, seed, 10.0 * config.tolerance, config)
     except RefinementError:
         return None
 
@@ -543,7 +537,7 @@ def almost_kahler_verdict(domain: PlanarDomain, search: GridSpec | None = None,
                           threads: int = 1) -> Verdict:
     """Search for critical points and report the almost-Kahler consequence.
 
-    The search runs on any bounded region, in two parts on the same pieces.
+    The search runs on any bounded region, in two parts.
     The axis search (:func:`axis_critical_points` on a 200-sample profile
     over the grid's z range) reports the extrema of f on the axis; each
     report that is not conclusive seeds Newton at tolerance 10 tol and is
@@ -565,18 +559,16 @@ def almost_kahler_verdict(domain: PlanarDomain, search: GridSpec | None = None,
     if search is None:
         search = GridSpec.for_domain(domain)
     threshold = 10.0 * config.tolerance
-    pieces = boundary_pieces(domain)
 
-    profile = axis_profile(pieces, search.z[0], search.z[1], 200, config)
-    reports = [rep if rep.conclusive else _newton(pieces, rep.location, config) or rep
-               for rep in axis_critical_points(profile, pieces, 1e-6, config)]
+    profile = axis_profile(domain, search.z[0], search.z[1], 200, config)
+    reports = [rep if rep.conclusive else _newton(domain, rep.location, config) or rep
+               for rep in axis_critical_points(profile, domain, 1e-6, config)]
 
-    table, scan, _, _, refined = _zero_clusters(pieces, search, config, threshold)
+    table, scan, _, _, refined = _zero_clusters(domain, search, config, threshold)
     for new in filter(None, refined):
         if not any(_close(new.location, old.location) for old in reports):
             reports.append(new)
 
-    found = any(rep.conclusive for rep in reports)
     coverage = {
         "grid": search.to_obj(),
         "grid_points": len(table),
@@ -588,11 +580,7 @@ def almost_kahler_verdict(domain: PlanarDomain, search: GridSpec | None = None,
                                         + (~scan.converged).sum()),
         "note": "no_critical_point_found is relative to this coverage",
     }
-    return Verdict(
-        status="critical_points_found" if found else "no_critical_point_found",
-        reports=tuple(reports),
-        coverage=coverage,
-    )
+    return Verdict(reports=tuple(reports), coverage=coverage)
 
 
 def _close(p: H3Point, q: H3Point, tol: float = 1e-3) -> bool:

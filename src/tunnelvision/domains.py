@@ -534,7 +534,7 @@ def _intervals(cuts, closed):
             if math.isinf(hi - lo) or hi - lo > 1e-15 * max(1.0, abs(lo))]
 
 
-def boundary_pieces(domain: PlanarDomain | BoundaryPieces) -> BoundaryPieces:
+def boundary_pieces(domain: PlanarDomain) -> BoundaryPieces:
     """The arrangement of the primitive boundaries, clipped to the tree's boundary.
 
     Circles and lines (polygon edges included) are cut at their mutual
@@ -542,17 +542,16 @@ def boundary_pieces(domain: PlanarDomain | BoundaryPieces) -> BoundaryPieces:
     differs between two probes on either side of its middle, and oriented
     so that the domain lies on its left; all probes go through one
     ``contains`` call.  Directions at infinity between consecutive
-    half-plane directions are probed far out, beyond every corner.
+    half-plane directions are probed far out, beyond every corner.  Raises
+    ValueError when two half-plane boundaries cross farther out than
+    ``_LENGTH_MAX`` (near-parallel lines), a corner the boundary sum cannot
+    evaluate.
 
     A domain is immutable, so its arrangement is built once and kept on the
     domain object: every later call with the same object, such as a verdict
     and a zero-locus report on one region, returns the same read-only
-    pieces.  Prepared pieces are returned as given, so a caller that
-    evaluates one region many times may also build them once and pass them
-    along.
+    pieces.
     """
-    if isinstance(domain, BoundaryPieces):
-        return domain
     pieces = getattr(domain, "_pieces", None)
     if pieces is None:  # two threads here at once build equal arrangements
         pieces = _arrangement(domain)
@@ -567,11 +566,19 @@ def _arrangement(domain: PlanarDomain) -> BoundaryPieces:
                       for p in prims)
     circles, lines = _curves(domain, scale)
     curves = circles + lines
+    # two whole lines (half-plane boundaries) must cross within the boundary
+    # sum's reach: their crossing is a corner unless another primitive hides
+    # it, and the far probes below go beyond it.  A crossing that far out
+    # with a polygon edge's line lies off the edge and cuts nothing kept.
+    whole = [len(cv) == 3 and any(math.isinf(s) for iv in cv[2] for s in iv)
+             for cv in curves]
     cuts = [[] for _ in curves]
     reach = scale  # beyond every cut
     for i, a in enumerate(curves):
         for j in range(i + 1, len(curves)):
             for pt in _meet(a, curves[j]):
+                if whole[i] and whole[j]:
+                    _check_length("boundary corner", abs(pt), pt)
                 reach = max(reach, abs(pt))
                 cuts[i].append(pt)
                 cuts[j].append(pt)
@@ -614,8 +621,7 @@ def _arrangement(domain: PlanarDomain) -> BoundaryPieces:
 
     # directions at infinity: arcs between consecutive half-plane directions
     dirs = sorted({math.atan2(v.imag, v.real) % (2.0 * math.pi)
-                   for _, u0, cover in lines if any(math.isinf(a) for iv in cover for a in iv)
-                   for v in (u0, -u0)})
+                   for cv, w in zip(curves, whole) if w for v in (cv[1], -cv[1])})
     gaps = np.diff(np.array(dirs + dirs[:1]) if dirs else np.array([]))
     gaps = gaps % (2.0 * math.pi)
     far = (2.0 * (reach + 1.0) / np.sin(0.5 * gaps)

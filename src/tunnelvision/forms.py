@@ -33,7 +33,7 @@ import numpy as np
 
 from .critical import (SQRT2, GridSpec, _hyperbolic_norms, _zero_clusters,
                        form_norm_grid)
-from .domains import BoundaryPieces, PlanarDomain, boundary_pieces
+from .domains import PlanarDomain
 from .hyperbolic import H3Point
 from .measure import QuadratureConfig, measure_many, measure_with_gradient
 
@@ -216,7 +216,7 @@ class ZeroLocusReport:
         }
 
 
-def zero_locus_report(domain: PlanarDomain | BoundaryPieces, grid: GridSpec,
+def zero_locus_report(domain: PlanarDomain, grid: GridSpec,
                       quad: QuadratureConfig = QuadratureConfig(),
                       threshold: float | None = None,
                       threads: int = 1) -> ZeroLocusReport:
@@ -230,13 +230,11 @@ def zero_locus_report(domain: PlanarDomain | BoundaryPieces, grid: GridSpec,
     refinement at tolerance 10 tol, the off-axis search of
     :func:`~tunnelvision.critical.almost_kahler_verdict`; cross_referenced
     records whether every cluster refined, and is False when any scan
-    evaluation did not converge.  ``domain`` may be the region's prepared
-    boundary pieces.  ``threads`` has no effect.
+    evaluation did not converge.  ``threads`` has no effect.
     """
     if threshold is None:
         threshold = 10.0 * quad.tolerance
-    _, record, rows, clusters, refined = _zero_clusters(
-        boundary_pieces(domain), grid, quad, threshold)
+    _, record, rows, clusters, refined = _zero_clusters(domain, grid, quad, threshold)
     nonconverged = int((~record.converged).sum())
     return ZeroLocusReport(
         samples=tuple(map(tuple, rows)),

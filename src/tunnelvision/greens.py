@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .critical import _bracketed_roots
-from .domains import PlanarDomain, boundary_pieces
+from .domains import PlanarDomain
 from .groups import GroupElements
 from .hyperbolic import (H3Point, apply_h3_batch, geodesic_point, h3_distance,
                          h3_distance_batch, MobiusMap)
@@ -61,8 +61,7 @@ _MIN_POLE_DISTANCE = 1e-8
 class PointConfiguration:
     """k distinct points, an optional group and optional measured values.
 
-    ``group`` is kept as a :class:`GroupElements` record (a sequence of
-    elements is converted by :meth:`GroupElements.of`).  ``f`` is the
+    ``group`` is a :class:`GroupElements` record.  ``f`` is the
     :class:`~tunnelvision.measure.MeasureValues` record of the points, one
     row per point and in their order, with every value strictly in (0, 1);
     :func:`find_quantizable` fills it and :func:`quantization_sum` reads it.
@@ -84,8 +83,6 @@ class PointConfiguration:
                 raise ValueError("f needs one row per point")
             if not ((self.f.values > 0.0) & (self.f.values < 1.0)).all():
                 raise ValueError("measure values must lie strictly in (0, 1)")
-        if self.group is not None:
-            object.__setattr__(self, "group", GroupElements.of(self.group))
 
     def to_obj(self, ell: int | None = None, total: float | None = None):
         obj = {"points": [[p.x, p.y, p.z] for p in self.points]}
@@ -192,21 +189,17 @@ def _shell_sums(matrices, lengths, pole: H3Point, q: H3Point):
     return [float(_row_sums(terms[lo:hi])) for lo, hi in zip(cuts, cuts[1:])]
 
 
-def quotient_green(elements, pole_lift: H3Point, q: H3Point,
+def quotient_green(elements: GroupElements, pole_lift: H3Point, q: H3Point,
                    shells: int) -> SeriesValue:
     """Group-averaged Green's function, truncated at ``shells`` word length.
 
-    ``elements`` is a :class:`GroupElements` or a sequence of
-    :class:`GroupElement` ordered by word length (see
-    :meth:`GroupElements.of`).  The tail estimate extrapolates the last three
-    shell sums geometrically (using the more pessimistic of the two
-    consecutive ratios).  Raises NonConvergentSeriesError if the shell sums
-    fail to decay, and PoleCollisionError if ``q`` is within 1e-8 of the
-    truncated orbit.
+    The tail estimate extrapolates the last three shell sums geometrically
+    (using the more pessimistic of the two consecutive ratios).  Raises
+    NonConvergentSeriesError if the shell sums fail to decay, and
+    PoleCollisionError if ``q`` is within 1e-8 of the truncated orbit.
     """
     if shells < 0:
         raise ValueError("shells must be >= 0")
-    elements = GroupElements.of(elements)
     n = int(np.searchsorted(elements.lengths, shells, side="right"))
     if not n:
         raise ValueError("no group elements within the shell bound")
@@ -279,7 +272,7 @@ def _interior_feet(domain: PlanarDomain, k: int) -> list[complex]:
                      f"(found {len(feet)}); domain too thin near 0?")
 
 
-def _solve_levels(pieces, feet, targets, config):
+def _solve_levels(domain, feet, targets, config):
     """Heights z with measure(foot, z) = target on every line, in lockstep.
 
     Each line's bracket grows from [1/4, 4] by factors of 4 until the level
@@ -294,7 +287,7 @@ def _solve_levels(pieces, feet, targets, config):
 
     def levels(lines, zs):
         pts = np.column_stack([xy[lines], zs])
-        return (measure_many(pieces, pts, config).values - goal[lines]).tolist()
+        return (measure_many(domain, pts, config).values - goal[lines]).tolist()
 
     # widen both ends of every line's bracket until g > 0 at z_lo, g < 0 at z_hi
     k = len(feet)
@@ -358,8 +351,7 @@ def find_quantizable(domain: PlanarDomain, k: int, ell: int,
         if abs(math.fsum(targets) - ell) > 1e-12:
             raise ValueError(f"levels must sum to ell={ell}")
     tight = replace(config_q, tolerance=min(config_q.tolerance, 2.5e-10 / k))
-    pieces = boundary_pieces(domain)
     feet = _interior_feet(domain, k)
     points = tuple(H3Point(foot.real, foot.imag, z) for foot, z in
-                   zip(feet, _solve_levels(pieces, feet, targets, tight)))
-    return PointConfiguration(points, f=measure_many(pieces, points, tight))
+                   zip(feet, _solve_levels(domain, feet, targets, tight)))
+    return PointConfiguration(points, f=measure_many(domain, points, tight))

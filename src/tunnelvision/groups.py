@@ -46,6 +46,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from .domains import _frozen
 from .hyperbolic import DiskPoint, MobiusMap, renormalize_batch
 
 __all__ = [
@@ -99,12 +100,6 @@ class GroupElement:
         return 0 if not self.word else self.word.count(".") + 1
 
 
-def _frozen(values, dtype) -> np.ndarray:
-    arr = np.asarray(values, dtype=dtype).view()
-    arr.flags.writeable = False
-    return arr
-
-
 @dataclass(frozen=True, eq=False, repr=False)
 class GroupElements(Sequence):
     """Group elements as one array record, ordered by word length.
@@ -129,31 +124,16 @@ class GroupElements(Sequence):
 
     def __post_init__(self):
         object.__setattr__(self, "matrices",
-                           _frozen(self.matrices, complex).reshape(-1, 2, 2))
+                           _frozen(np.asarray(self.matrices, complex)).reshape(-1, 2, 2))
         for field in ("lengths", "parent", "letter"):
-            object.__setattr__(self, field, _frozen(getattr(self, field), np.int64))
+            object.__setattr__(self, field,
+                               _frozen(np.asarray(getattr(self, field), np.int64)))
         object.__setattr__(self, "names", tuple(self.names))
         n = len(self.lengths)
         if not len(self.matrices) == len(self.parent) == len(self.letter) == n:
             raise ValueError("one matrix, parent and letter per element required")
         if np.any(np.diff(self.lengths) < 0):
             raise ValueError("elements must be ordered by word length")
-
-    @classmethod
-    def of(cls, elements) -> "GroupElements":
-        """``elements`` as a record, in the manner of ``np.asarray``.
-
-        A record is returned as it is.  A sequence of :class:`GroupElement`,
-        which must be ordered by word length, is copied into a new record
-        whose letter names are the elements' whole words (every parent -1).
-        """
-        if isinstance(elements, cls):
-            return elements
-        elements = list(elements)
-        n = len(elements)
-        return cls([el.map.matrix() for el in elements],
-                   [el.word_length for el in elements], np.full(n, -1),
-                   np.arange(n), [el.word for el in elements])
 
     def __len__(self) -> int:
         return len(self.lengths)
@@ -400,15 +380,13 @@ def enumerate_group(generators: list[GroupElement],
                          np.concatenate(letter), names)
 
 
-def orbit_cloud(elements, base: DiskPoint) -> np.ndarray:
+def orbit_cloud(elements: GroupElements, base: DiskPoint) -> np.ndarray:
     """Images of a disk point under every element, as a complex array.
 
-    ``elements`` is a :class:`GroupElements` or a sequence of
-    :class:`GroupElement` (see :meth:`GroupElements.of`).  One array
-    expression over the matrices: the denominators c zeta + d do not vanish,
-    as the maps preserve the disk and |zeta| < 1.
+    One array expression over the record's matrices: the denominators
+    c zeta + d do not vanish, as the maps preserve the disk and |zeta| < 1.
     """
-    m = GroupElements.of(elements).matrices
+    m = elements.matrices
     z = base.zeta
     return (m[:, 0, 0] * z + m[:, 0, 1]) / (m[:, 1, 0] * z + m[:, 1, 1])
 

@@ -45,10 +45,6 @@ _DET_TOL = 1e-12
 _DET_ROUNDING = 16.0 * sys.float_info.epsilon
 
 
-def _is_infinity(zeta: complex) -> bool:
-    return cmath.isinf(zeta)
-
-
 @dataclass(frozen=True)
 class H3Point:
     """A point of the upper half-space model; ``z > 0`` strictly."""
@@ -167,7 +163,7 @@ class MobiusMap:
 
     def apply_boundary(self, zeta: complex) -> complex:
         """Act on the boundary sphere; ``INFINITY`` marks the point at infinity."""
-        if _is_infinity(zeta):
+        if cmath.isinf(zeta):
             if self.c == 0:
                 return INFINITY
             return self.a / self.c

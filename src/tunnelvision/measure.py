@@ -36,18 +36,18 @@ asked.  Callers work on those arrays; ``record[i]`` is the
 :class:`MeasureValue` of point i, which :func:`harmonic_measure` and
 :func:`measure_with_gradient` return for one point.
 
-Every evaluation takes a domain or its prepared ``BoundaryPieces``; a domain
-has its arrangement built on first use and kept on the domain object.
-Building it costs about as much as evaluating a few points, so the drivers
-that evaluate one region many times
+Every evaluation takes a domain.  Its arrangement is built on first use
+and kept on the domain object, and a build costs about as much as
+evaluating a few points; the drivers that evaluate one region many times
 (the dogbone experiment, the axis root solve and Hessians, Newton
 refinement, the verdict's scans and the level solves of
-:func:`~tunnelvision.greens.find_quantizable`) build the pieces once and
-pass them down.  Each call also has a fixed cost, whatever its size, so the
-root solves advance all their brackets in lockstep with one call per round
-(the axis brackets of :mod:`~tunnelvision.critical`, and every line's
-bracket widening and level solve in ``find_quantizable``), and one call
-gives every axis critical point its value, gradient and Hessian stencil.
+:func:`~tunnelvision.greens.find_quantizable`) pass their one domain object
+down, so each builds one arrangement.  Each call also has a fixed cost,
+whatever its size, so the root solves advance all their brackets in
+lockstep with one call per round (the axis brackets of
+:mod:`~tunnelvision.critical`, and every line's bracket widening and level
+solve in ``find_quantizable``), and one call gives every axis critical
+point its value, gradient and Hessian stencil.
 Since a point's result does not depend on its batch, these results are the
 same as one point at a time.
 
@@ -377,16 +377,15 @@ def _coordinates(points) -> np.ndarray:
     return xyz
 
 
-def measure_many(domain: PlanarDomain | BoundaryPieces, points,
+def measure_many(domain: PlanarDomain, points,
                  config: QuadratureConfig = QuadratureConfig(),
                  gradient: bool = False) -> MeasureValues:
     """Harmonic measure of ``domain`` at every point of ``points``.
 
     ``points`` is an (n, 3) array of (x, y, z) rows or a sequence of
-    :class:`H3Point`; both give the same bits.  ``domain`` is a domain tree
-    or its prepared :func:`~tunnelvision.domains.boundary_pieces`, which are
-    evaluated as given; the result is bit-identical either way.  Callers
-    that evaluate one region many times build the pieces once and pass them.
+    :class:`H3Point`; both give the same bits.  The sum runs over the
+    domain's :func:`~tunnelvision.domains.boundary_pieces`, built on the
+    first call with a domain object and kept on it.
 
     Returns a :class:`MeasureValues` record, one row per point, in order.
     With ``gradient=True`` it also holds the gradients and their error
@@ -431,7 +430,7 @@ def measure_many(domain: PlanarDomain | BoundaryPieces, points,
     return MeasureValues(values, err, err <= config.tolerance, grads, grad_err)
 
 
-def harmonic_measure(domain: PlanarDomain | BoundaryPieces, p: H3Point,
+def harmonic_measure(domain: PlanarDomain, p: H3Point,
                      config: QuadratureConfig = QuadratureConfig()) -> MeasureValue:
     """Harmonic measure of ``domain`` seen from ``p``.
 
@@ -441,7 +440,7 @@ def harmonic_measure(domain: PlanarDomain | BoundaryPieces, p: H3Point,
     return measure_many(domain, [p], config)[0]
 
 
-def measure_with_gradient(domain: PlanarDomain | BoundaryPieces, p: H3Point,
+def measure_with_gradient(domain: PlanarDomain, p: H3Point,
                           config: QuadratureConfig = QuadratureConfig()):
     """Measure and its Euclidean gradient from one boundary sum.
 

@@ -64,16 +64,15 @@ def genus2_elements(genus2_generators):
     return enumerate_group(genus2_generators, 6)
 
 
-def _count_calls(monkeypatch, fn, counts=lambda *args: True):
+def _count_calls(monkeypatch, fn):
     """Patch ``fn`` in every tunnelvision module that imports it to count calls.
 
-    Returns a one-element list holding the number of calls for which
-    ``counts`` is true.
+    Returns a one-element list holding the number of calls.
     """
     count = [0]
 
     def counting(*args, **kwargs):
-        count[0] += bool(counts(*args))
+        count[0] += 1
         return fn(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
@@ -85,14 +84,12 @@ def _count_calls(monkeypatch, fn, counts=lambda *args: True):
 
 @pytest.fixture
 def arrangement_builds(monkeypatch):
-    """Count the boundary arrangements built, in every module that imports the builder.
+    """Count the boundary arrangements built (``domains._arrangement`` calls).
 
-    Returns a one-element list holding the count; passing prepared pieces
-    through ``boundary_pieces`` is not a build.
+    Returns a one-element list holding the count.  A domain object keeps
+    its arrangement, so a test that counts builds starts from a fresh one.
     """
-    return _count_calls(
-        monkeypatch, domains.boundary_pieces,
-        lambda domain: not isinstance(domain, domains.BoundaryPieces))
+    return _count_calls(monkeypatch, domains._arrangement)
 
 
 @pytest.fixture

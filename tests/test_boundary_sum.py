@@ -188,27 +188,7 @@ def test_gradient_matches_central_differences(domain):
         assert np.all(gerr < 1e-12)
 
 
-# -- prepared pieces ------------------------------------------------------------------
-
-def _assert_same_evaluation(domain, points):
-    pc = boundary_pieces(domain)
-    assert boundary_pieces(pc) is pc
-    got, want = (measure_many(d, points, gradient=True) for d in (pc, domain))
-    for name in ("values", "errors", "converged", "gradients", "gradient_errors"):
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
-
-
-def test_prepared_pieces_evaluate_bit_identically_on_the_dogbone(dogbone01):
-    pts = [H3Point(x, y, z) for x, y, z in
-           ((0.0, 0.0, 0.1), (0.0, 0.0, 1.0), (0.3, -0.2, 0.05), (-0.9, 0.4, 2.0))]
-    _assert_same_evaluation(dogbone01, pts)
-
-
-@settings(derandomize=True, max_examples=60, deadline=None)
-@given(_trees, _points)
-def test_prepared_pieces_evaluate_bit_identically(domain, points):
-    _assert_same_evaluation(domain, points)
-
+# -- coincident curves ----------------------------------------------------------------
 
 def test_pieces_are_counted_once():
     pc = boundary_pieces(Intersection(HalfPlane(1j, 0.2), HalfPlane(1j, 0.2)))
@@ -248,10 +228,10 @@ def test_row_sums_give_fsum_bits_at_every_batch_size(domain, seed):
     for n in sorted({1, 2, max(below, 1), above}):
         pts = np.column_stack([rng.uniform(-1.2, 1.2, n), rng.uniform(-1.2, 1.2, n),
                                10.0 ** rng.uniform(-3.0, math.log10(4.0), n)])
-        got = measure_many(pc, pts, gradient=True)
+        got = measure_many(domain, pts, gradient=True)
         with mock.patch.object(measure, "_row_sums", _fsum_each_row):
-            want = measure_many(pc, pts, gradient=True)
+            want = measure_many(domain, pts, gradient=True)
         assert _record_bytes(got) == _record_bytes(want), n
-        values_only = measure_many(pc, pts)
+        values_only = measure_many(domain, pts)
         assert values_only.gradients is None and values_only.gradient_errors is None
         assert _record_bytes(values_only)[:3] == _record_bytes(got)[:3], n

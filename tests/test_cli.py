@@ -146,6 +146,22 @@ def test_measure_rejects_lengths_beyond_the_boundary_sum(spec, name, tmp_path, c
     assert not (out / "measure.manifest.json").exists()
 
 
+def test_measure_rejects_half_planes_crossing_beyond_the_boundary_sum(tmp_path, capsys):
+    # this printed the right value with an infinite error bound, exit 2
+    path = tmp_path / "tilted.json"
+    path.write_text('{"op": "intersection", "args": ['
+                    '{"halfplane": {"n": [0, 1], "offset": 0}}, '
+                    '{"halfplane": {"n": [1e-300, 1], "offset": 0.5}}]}')
+    out = tmp_path / "out"
+    rc = main(["measure", "--domain", str(path), "--point", "0", "0.7", "0.5",
+               "--out-dir", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "boundary corner must stay within 1e+76" in captured.err
+    assert not (out / "measure.manifest.json").exists()
+
+
 @pytest.mark.parametrize("args, message", [
     (["group", "--genus", "1", "--depth", "2"], "--genus"),
     (["group", "--genus", "2", "--depth", "0"], "--depth"),

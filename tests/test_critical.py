@@ -12,7 +12,7 @@ from tunnelvision.critical import (AxisProfile, GridSpec, RefinementError,
                                    axis_critical_points, axis_profile,
                                    dogbone_experiment, refine_critical_point_3d)
 from tunnelvision.domains import (Difference, Disk, HalfPlane, Intersection, Union,
-                                  boundary_pieces, dogbone)
+                                  dogbone)
 from tunnelvision.forms import zero_locus_report
 from tunnelvision.hyperbolic import H3Point
 from tunnelvision.measure import (QuadratureConfig, harmonic_measure,
@@ -376,29 +376,22 @@ def test_verdict_on_a_translated_dogbone_finds_the_shifted_pair(dogbone01):
 
 # -- one arrangement per experiment --------------------------------------------------
 
-def test_dogbone_experiment_builds_its_arrangement_at_most_twice(arrangement_builds):
+def test_dogbone_experiment_builds_its_arrangement_once(arrangement_builds):
     dogbone_experiment(0.1)
-    assert arrangement_builds[0] <= 2
+    assert arrangement_builds[0] == 1
 
 
-def test_verdict_builds_its_arrangement_once(arrangement_builds, dogbone01):
+def test_verdict_builds_its_arrangement_once(arrangement_builds):
     # at the default tolerance no grid point is refined, and the axis search
-    # runs on the verdict's pieces
-    verdict = almost_kahler_verdict(dogbone01, GridSpec.for_domain(dogbone01, 6))
+    # runs on the verdict's domain object
+    region = dogbone(0.1)
+    verdict = almost_kahler_verdict(region, GridSpec.for_domain(region, 6))
     assert {r.classification for r in verdict.reports} == {"axis-min", "axis-max"}
     assert arrangement_builds[0] == 1
 
 
-def test_axis_search_on_pieces_matches_the_domain(dogbone01):
-    prof = axis_profile(dogbone01, 0.01, 10.0, 60, CFG)
-    from_domain = axis_critical_points(prof, dogbone01, 1e-6, CFG)
-    from_pieces = axis_critical_points(prof, boundary_pieces(dogbone01), 1e-6, CFG)
-    assert len(from_domain) == 2
-    assert [r.to_obj() for r in from_pieces] == [r.to_obj() for r in from_domain]
-
-
-def test_refinement_builds_its_arrangement_once(arrangement_builds, dogbone01):
-    refine_critical_point_3d(dogbone01, H3Point(0.01, -0.02, 0.95), 1e-6)
+def test_refinement_builds_its_arrangement_once(arrangement_builds):
+    refine_critical_point_3d(dogbone(0.1), H3Point(0.01, -0.02, 0.95), 1e-6)
     assert arrangement_builds[0] == 1
 
 
@@ -446,7 +439,8 @@ def test_zero_locus_refines_on_its_own_arrangement(arrangement_builds, lopsided,
                                                    refinements):
     p = _lopsided_critical_point(lopsided)
     arrangement_builds[0] = refinements[0] = 0
-    report = zero_locus_report(lopsided, _grid_around(p))
+    # an equal region without the arrangement kept on ``lopsided``
+    report = zero_locus_report(Union(*lopsided.args), _grid_around(p))
     assert len(report.clusters) == refinements[0] == 1
     assert arrangement_builds[0] == 1
 
@@ -534,7 +528,7 @@ def test_dogbone_experiment_evaluation_calls(measure_calls, arrangement_builds):
     # round of both brackets together, and one for both reports
     dogbone_experiment(0.1)
     assert measure_calls[0] == 9
-    # the axis search takes the experiment's own pieces
+    # the axis search takes the experiment's own domain object
     assert arrangement_builds[0] == 1
 
 
@@ -589,17 +583,6 @@ def test_refinement_evaluates_each_candidate_with_its_stencil(measure_calls,
     # Hessian stencil in the same call
     rep = refine_critical_point_3d(dogbone01, H3Point(0.01, -0.02, 0.95), 1e-6)
     assert measure_calls[0] == 3
-    assert _refined_bits(rep) == REFINED_BITS
-
-
-def test_refinement_on_prepared_pieces_builds_no_arrangement(measure_calls,
-                                                             arrangement_builds,
-                                                             dogbone01):
-    # prepared pieces are not built again, and give the domain's bits
-    pieces = boundary_pieces(dogbone01)
-    rep = refine_critical_point_3d(pieces, H3Point(0.01, -0.02, 0.95), 1e-6)
-    assert measure_calls[0] == 3
-    assert arrangement_builds[0] == 0
     assert _refined_bits(rep) == REFINED_BITS
 
 

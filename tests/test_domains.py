@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -304,17 +305,26 @@ def test_arrangement_is_built_once_and_kept_read_only(domain):
             [getattr(pc, f).tobytes() for f in ("seg_lo", "arc_sweep")]
 
 
-def test_verdict_and_zero_locus_share_one_arrangement(monkeypatch):
+def test_verdict_and_zero_locus_share_one_arrangement(arrangement_builds):
     from tunnelvision import critical, forms
-    builds, build = [0], domains._arrangement
-
-    def counting(domain):
-        builds[0] += 1
-        return build(domain)
-
-    monkeypatch.setattr(domains, "_arrangement", counting)
     d = dogbone(0.1)
     grid = critical.GridSpec.for_domain(d, 4)
     critical.almost_kahler_verdict(d, grid, threads=1)
     forms.zero_locus_report(d, grid, threads=1)
-    assert builds[0] == 1
+    assert arrangement_builds[0] == 1
+
+
+def test_half_planes_crossing_beyond_the_boundary_sum_are_rejected():
+    # in effect y > 0.5, but the two lines cross at x ~ 5e299: a corner no
+    # evaluation can use.  Warnings are errors: one direction at infinity
+    # wraps to 2 pi beside 0, and probing there would divide by zero.
+    tilted = Intersection(HalfPlane(1j, 0.0), HalfPlane(complex(1e-300, 1.0), 0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"boundary corner must stay within 1e\+76"):
+            boundary_pieces(tilted)
+        # the lines of near-parallel polygon edges cross as far out, off the
+        # edges: no corner there, and the polygon is laid out
+        square = SimplePolygon((0j, 1e70 + 0j, 1e70 + 1e70j,
+                                complex(0.0, 1e70 * (1.0 + 2.0**-50))))
+        assert len(boundary_pieces(square).seg_lo) == 4

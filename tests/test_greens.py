@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tunnelvision import greens, measure
-from tunnelvision.domains import Disk
+from tunnelvision.domains import Disk, dogbone
 from tunnelvision.greens import (NonConvergentSeriesError, PoleCollisionError,
                                  PointConfiguration, find_quantizable,
                                  green_flux, h3_green, potential_V,
                                  quantization_sum, quotient_green)
-from tunnelvision.groups import enumerate_group
-from tunnelvision.hyperbolic import H3Point, h3_distance, laplace_beltrami
+from tunnelvision.groups import GroupElements, enumerate_group
+from tunnelvision.hyperbolic import H3Point, MobiusMap, h3_distance, laplace_beltrami
 from tunnelvision.measure import MeasureValues, QuadratureConfig, _row_sums
 
 CFG = QuadratureConfig(tolerance=1e-9)
@@ -281,13 +281,11 @@ def test_quotient_pole_collision(quotient_setup):
 
 
 def test_nondecaying_shells_flagged():
-    # a fake "group" of two far translations repeated does not decay
-    from tunnelvision.groups import GroupElement
-    from tunnelvision.hyperbolic import MobiusMap
-    fake = [GroupElement(MobiusMap.identity(), ""),
-            GroupElement(MobiusMap.translation(0.01), "a1"),
-            GroupElement(MobiusMap.translation(0.02), "a1.a1"),
-            GroupElement(MobiusMap.translation(0.03), "a1.a1.a1")]
+    # a fake "group" of small translations, words a1, a1.a1, a1.a1.a1: the
+    # shells do not decay
+    maps = [MobiusMap.identity()] + [MobiusMap.translation(0.01 * n) for n in (1, 2, 3)]
+    fake = GroupElements([m.matrix() for m in maps], lengths=[0, 1, 2, 3],
+                         parent=[-1, 0, 1, 2], letter=[-1, 0, 0, 0], names=["a1"])
     with pytest.raises(NonConvergentSeriesError):
         quotient_green(fake, H3Point(0, 0, 1), H3Point(5.0, 0, 1), 3)
 
@@ -398,8 +396,8 @@ def test_find_quantizable_dogbone(dogbone01):
     assert h3_distance(pts[0], pts[1]) > 0
 
 
-def test_find_quantizable_builds_one_arrangement(arrangement_builds, dogbone01):
-    find_quantizable(dogbone01, 2, 1)
+def test_find_quantizable_builds_one_arrangement(arrangement_builds):
+    find_quantizable(dogbone(0.1), 2, 1)
     assert arrangement_builds[0] == 1
 
 
@@ -440,18 +438,6 @@ def test_find_quantizable_prescribed_levels():
         find_quantizable(domain, 3, 1, CFG, levels=(0.2, 0.3, 0.6))
     with pytest.raises(ValueError):
         find_quantizable(domain, 2, 1, CFG, levels=(1.2, -0.2))
-
-
-@pytest.mark.parametrize("pole, q", [
-    (H3Point(0.1, 0.05, 0.9), H3Point(0.3, -0.2, 0.6)),
-    (H3Point(-0.2, 0.25, 1.1), H3Point(0.0, 0.0, 0.7)),
-    (H3Point(0.0, 0.0, 1.0), H3Point(0.25, 0.1, 1.2)),
-])
-def test_quotient_record_equals_element_list(genus2_elements, pole, q):
-    listed = quotient_green(list(genus2_elements), pole, q, 6)
-    assert quotient_green(genus2_elements, pole, q, 6) == listed
-    shallow = quotient_green(list(genus2_elements[:2000]), pole, q, 3)
-    assert quotient_green(genus2_elements, pole, q, 3) == shallow
 
 
 def test_potential_with_group_builds_no_elements(genus2_elements, monkeypatch):

@@ -399,16 +399,3 @@ def test_orbit_cloud_matches_apply_boundary(genus2_elements, zeta):
     pts = orbit_cloud(genus2_elements, DiskPoint(zeta))
     ref = np.array([el.map.apply_boundary(zeta) for el in genus2_elements])
     assert np.abs(pts - ref).max() <= 1e-15
-
-
-def test_group_elements_of_round_trip(genus2_elements):
-    assert GroupElements.of(genus2_elements) is genus2_elements
-    elements = list(genus2_elements[:500])
-    record = GroupElements.of(elements)
-    assert [el.word for el in record] == [el.word for el in elements]
-    assert record.lengths.tolist() == [el.word_length for el in elements]
-    assert list(record) == elements
-    assert record[-1] == elements[-1]
-    assert len(GroupElements.of([])) == 0
-    with pytest.raises(ValueError):
-        GroupElements.of(elements[::-1])
