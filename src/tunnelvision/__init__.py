@@ -7,7 +7,30 @@ two-critical-point phenomenon in particular), constructs Fuchsian surface
 groups from regular 4g-gons, sums Green's-function Poincare series and
 quantization conditions, and checks the self-dual-form dictionary that
 links critical points to zeros of the associated harmonic 2-form.
+
+No kernel here uses BLAS threads: its largest BLAS calls are 3x3 solves,
+determinants and products.  So when this package is the first to import
+numpy, it loads OpenBLAS with one thread, which spares each process the
+start of an idle worker pool.  OpenBLAS sizes its pool once, when it loads,
+so the setting is removed again at once and the process environment stays
+as the user had it.  A thread count the user set (``OPENBLAS_NUM_THREADS``,
+``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS``) wins, and a numpy imported
+earlier is left alone.
 """
+
+import os as _os
+import sys as _sys
+
+if "numpy" not in _sys.modules and not any(
+        name in _os.environ for name in
+        ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
+    del numpy
+del _os, _sys
 
 from .runio import __version__
 

@@ -4,7 +4,9 @@ All floating-point output is written with 17 significant digits so files
 round-trip exactly.  CSV files use comma separators, '.' decimal points and
 LF line endings.  Everything runs in the calling thread: multi-point work is
 one array evaluation of the measure's boundary sum instead of spread over a
-pool, so outputs are byte-identical from run to run.
+pool, so outputs are byte-identical from run to run.  The only other pool is
+OpenBLAS's, which loads with one thread unless the user set its size (see
+the package docstring); results do not depend on its size.
 """
 
 from __future__ import annotations
@@ -13,8 +15,11 @@ import json
 import math
 import numbers
 import os
+import sys
 import time
 from dataclasses import asdict, dataclass, field
+
+import numpy as np
 
 __version__ = "0.1.0"
 
@@ -79,6 +84,13 @@ def write_csv(path, header, rows):
             fh.write(",".join(cells) + "\n")
 
 
+def _environment() -> dict:
+    """The Python and numpy versions and the core count of this process."""
+    return {"python": "{}.{}.{}".format(*sys.version_info[:3]),
+            "numpy": np.__version__,
+            "cpu_count": os.cpu_count()}
+
+
 @dataclass
 class RunManifest:
     """Reproducibility record written alongside every CLI output."""
@@ -89,6 +101,7 @@ class RunManifest:
     version: str = __version__
     wall_time_s: float = 0.0
     outputs: list = field(default_factory=list)
+    environment: dict = field(default_factory=_environment)
 
     def finish(self, started: float, out_dir: str, stem: str):
         self.wall_time_s = time.monotonic() - started

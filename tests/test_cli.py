@@ -187,6 +187,9 @@ def test_polygon_output(tmp_path):
     manifest = json.loads((tmp_path / "polygon.manifest.json").read_text())
     _schema("manifest.schema.json")(manifest)
     assert manifest["tolerances"] == {}
+    assert manifest["environment"] == {
+        "python": "{}.{}.{}".format(*sys.version_info[:3]),
+        "numpy": np.__version__, "cpu_count": os.cpu_count()}
     assert main(["polygon", "--genus", "1", "--out-dir", str(tmp_path)]) == 1
 
 
