@@ -147,9 +147,7 @@ class GridSpec:
 
     @staticmethod
     def for_domain(domain: PlanarDomain, n: int = 20) -> "GridSpec":
-        r = domain.bounding_radius
-        if not math.isfinite(r):
-            raise ValueError("grid search requires a bounded domain")
+        r = _bounded_radius(domain, "grid search")
         return GridSpec(x=(-r, r, n), y=(-r, r, n), z=(0.05 * r, 8.0 * r, n))
 
     def axes(self):
@@ -165,6 +163,16 @@ class GridSpec:
 
     def to_obj(self):
         return {"x": list(self.x), "y": list(self.y), "z": list(self.z)}
+
+
+def _bounded_radius(domain: PlanarDomain, search: str) -> float:
+    """The region's ``radius``; ValueError naming the ``search`` if unbounded or empty."""
+    r = boundary_pieces(domain).radius
+    if math.isinf(r):
+        raise ValueError(f"{search} requires a bounded domain")
+    if r == 0.0:
+        raise ValueError(f"{search} requires a non-empty domain; the region is empty")
+    return r
 
 
 def _axis_points(zs):
@@ -291,8 +299,7 @@ def axis_critical_points(profile: AxisProfile, domain: PlanarDomain,
     region the axis is not a gradient line, and its extrema are reported
     but not conclusive.
     """
-    if not math.isfinite(domain.bounding_radius):
-        raise ValueError("axis search requires a bounded domain")
+    _bounded_radius(domain, "axis search")
     z = profile.z
     df = np.diff(profile.f)
     # brackets z[i] .. z[i+2], where the discrete derivative changes sign
@@ -537,7 +544,8 @@ def almost_kahler_verdict(domain: PlanarDomain, search: GridSpec | None = None,
                           threads: int = 1) -> Verdict:
     """Search for critical points and report the almost-Kahler consequence.
 
-    The search runs on any bounded region, in two parts.
+    The search runs on any bounded, non-empty region (by the ``radius`` of
+    its boundary pieces), in two parts.
     The axis search (:func:`axis_critical_points` on a 200-sample profile
     over the grid's z range) reports the extrema of f on the axis; each
     report that is not conclusive seeds Newton at tolerance 10 tol and is
@@ -554,8 +562,7 @@ def almost_kahler_verdict(domain: PlanarDomain, search: GridSpec | None = None,
     of profile and scan evaluations that did not converge, and a note.
     ``threads`` has no effect.
     """
-    if not math.isfinite(domain.bounding_radius):
-        raise ValueError("verdict search requires a bounded domain")
+    _bounded_radius(domain, "verdict search")
     if search is None:
         search = GridSpec.for_domain(domain)
     threshold = 10.0 * config.tolerance

@@ -6,10 +6,11 @@ is exact; behaviour exactly on the topological boundary is unspecified
 (either value may be returned), which is harmless because domains only enter
 through integrals.
 
-Beyond membership, a tree's boundary is laid out by :func:`boundary_pieces`
-as oriented segments and circular arcs, the input of the measure's boundary
-sum.  Every domain also intersects rays with its primitive boundaries (for
-the reference quadrature over angle) and rescales itself.
+A tree answers membership, writes its JSON, rescales itself and meets rays
+with its primitive boundaries (for the reference quadrature over angle).
+Geometric questions go to its boundary, laid out by :func:`boundary_pieces`
+as oriented segments and circular arcs: the input of the measure's boundary
+sum, and the region's size and boundedness (``BoundaryPieces.radius``).
 :func:`dogbone` builds the paper's example region.
 
 The JSON wire format is a tagged-union tree, e.g.::
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,11 +70,6 @@ class PlanarDomain:
 
     def contains(self, zeta):
         """Membership test; accepts a complex scalar or ndarray."""
-        raise NotImplementedError
-
-    @property
-    def bounding_radius(self) -> float:
-        """Radius of a centered disk containing the domain; inf if unbounded."""
         raise NotImplementedError
 
     def primitives(self):
@@ -122,10 +118,6 @@ class Disk(PlanarDomain):
 
     def contains(self, zeta):
         return np.abs(np.asarray(zeta) - self.center) < self.radius
-
-    @property
-    def bounding_radius(self) -> float:
-        return abs(self.center) + self.radius
 
     def primitives(self):
         yield self
@@ -184,10 +176,6 @@ class HalfPlane(PlanarDomain):
 
     def contains(self, zeta):
         return (self.normal.conjugate() * np.asarray(zeta)).real > self.offset
-
-    @property
-    def bounding_radius(self) -> float:
-        return math.inf
 
     def primitives(self):
         yield self
@@ -268,10 +256,6 @@ class SimplePolygon(PlanarDomain):
             inside ^= cond & (x < xi)
         return inside if inside.shape else bool(inside)
 
-    @property
-    def bounding_radius(self) -> float:
-        return max(abs(v) for v in self.vertices)
-
     def primitives(self):
         yield self
 
@@ -328,10 +312,6 @@ class Union(_Node):
             out = out | a.contains(zeta)
         return out
 
-    @property
-    def bounding_radius(self):
-        return max(a.bounding_radius for a in self.args)
-
     def _scaled(self, lam):
         return Union(*(a._scaled(lam) for a in self.args))
 
@@ -346,10 +326,6 @@ class Intersection(_Node):
             out = out & a.contains(zeta)
         return out
 
-    @property
-    def bounding_radius(self):
-        return min(a.bounding_radius for a in self.args)
-
     def _scaled(self, lam):
         return Intersection(*(a._scaled(lam) for a in self.args))
 
@@ -363,10 +339,6 @@ class Difference(_Node):
 
     def contains(self, zeta):
         return self.args[0].contains(zeta) & ~self.args[1].contains(zeta)
-
-    @property
-    def bounding_radius(self):
-        return self.args[0].bounding_radius
 
     def _scaled(self, lam):
         return Difference(self.args[0]._scaled(lam), self.args[1]._scaled(lam))
@@ -421,7 +393,10 @@ class BoundaryPieces:
     ``arc_start[k]`` through the signed ``arc_sweep[k]``.  ``at_infinity``
     is the angle of directions in which the domain reaches infinity, and
     ``extent`` bounds |xi| over every corner, anchor and circle: the bound
-    given, raised to cover the corners.  The arrays are read-only.
+    given, raised to cover the corners.  ``radius`` is the largest |xi| on
+    the pieces (inf for an unbounded region, 0 for an empty one): an arc
+    peaks where it crosses the ray from 0 through its centre, any other
+    piece at a corner.  The arrays are read-only.
     """
 
     seg_anchor: np.ndarray
@@ -434,13 +409,20 @@ class BoundaryPieces:
     arc_sweep: np.ndarray
     at_infinity: float
     extent: float
+    radius: float = field(init=False)
 
     def __post_init__(self):
         for name in ("seg_anchor", "seg_dir", "seg_lo", "seg_hi",
                      "arc_center", "arc_radius", "arc_start", "arc_sweep"):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
-        object.__setattr__(self, "extent", max(
-            self.extent, float(np.abs(self.corners()).max(initial=0.0))))
+        corner = float(np.abs(self.corners()).max(initial=0.0))
+        object.__setattr__(self, "extent", max(self.extent, corner))
+        c, sweep = self.arc_center, self.arc_sweep
+        crosses = (c == 0) | ((np.angle(c) - self.arc_start) * np.sign(sweep)
+                              % (2.0 * math.pi) <= np.abs(sweep))
+        peak = float((np.abs(c) + self.arc_radius)[crosses].max(initial=0.0))
+        bounded = self.at_infinity == 0 and np.isfinite([self.seg_lo, self.seg_hi]).all()
+        object.__setattr__(self, "radius", max(corner, peak) if bounded else math.inf)
 
     def corners(self) -> np.ndarray:
         """The finite endpoints of the pieces."""
@@ -562,8 +544,9 @@ def boundary_pieces(domain: PlanarDomain) -> BoundaryPieces:
 def _arrangement(domain: PlanarDomain) -> BoundaryPieces:
     """Build the arrangement of :func:`boundary_pieces` for a domain tree."""
     prims = list(domain.primitives())
-    scale = 1.0 + max(abs(p.offset) if isinstance(p, HalfPlane) else p.bounding_radius
-                      for p in prims)
+    scale = 1.0 + max(abs(p.center) + p.radius if isinstance(p, Disk) else
+                      abs(p.offset) if isinstance(p, HalfPlane) else
+                      max(map(abs, p.vertices)) for p in prims)
     circles, lines = _curves(domain, scale)
     curves = circles + lines
     # two whole lines (half-plane boundaries) must cross within the boundary

@@ -24,8 +24,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .critical import _bracketed_roots
-from .domains import PlanarDomain
+from .critical import _bounded_radius, _bracketed_roots
+from .domains import PlanarDomain, boundary_pieces
 from .groups import GroupElements
 from .hyperbolic import (H3Point, apply_h3_batch, geodesic_point, h3_distance,
                          h3_distance_batch, MobiusMap)
@@ -195,6 +195,7 @@ def quotient_green(elements: GroupElements, pole_lift: H3Point, q: H3Point,
 
     The tail estimate extrapolates the last three shell sums geometrically
     (using the more pessimistic of the two consecutive ratios).  Raises
+    ValueError when ``elements`` stops short of ``shells``,
     NonConvergentSeriesError if the shell sums fail to decay, and
     PoleCollisionError if ``q`` is within 1e-8 of the truncated orbit.
     """
@@ -203,6 +204,8 @@ def quotient_green(elements: GroupElements, pole_lift: H3Point, q: H3Point,
     n = int(np.searchsorted(elements.lengths, shells, side="right"))
     if not n:
         raise ValueError("no group elements within the shell bound")
+    if shells > elements.lengths[-1]:
+        raise ValueError(f"group record depth {elements.lengths[-1]} < {shells} shells")
     sums = _shell_sums(elements.matrices[:n], elements.lengths[:n], pole_lift, q)
     value = math.fsum(sums)
     if len(sums) == 1:
@@ -223,9 +226,9 @@ def quotient_green(elements: GroupElements, pole_lift: H3Point, q: H3Point,
 def potential_V(config: PointConfiguration, q: H3Point, shells: int = 6) -> float:
     """The positive potential 1 + sum of pole Green's functions at q.
 
-    With an attached group each pole contributes its quotient series; without
-    one, the free-space Green's function.  Exceeds 1 everywhere and tends to
-    1 far from all poles.
+    With an attached group each pole contributes its quotient series (the
+    record must reach ``shells``); without one, the free-space Green's
+    function.  Exceeds 1 everywhere and tends to 1 far from all poles.
     """
     total = 1.0
     for p in config.points:
@@ -256,20 +259,25 @@ def quantization_sum(config: PointConfiguration,
 
 
 def _interior_feet(domain: PlanarDomain, k: int) -> list[complex]:
-    """k distinct interior boundary-plane points near the origin's neighborhood."""
-    scale = domain.bounding_radius  # finite: find_quantizable checks it
-    candidates = [0j]
-    for frac in (0.05, 0.1, 0.02, 0.2, 0.01, 0.4):
-        for j in range(8):
-            candidates.append(scale * frac * np.exp(1j * math.pi * j / 4.0))
+    """The first k distinct points of a bounded region among 0, rings about 0
+    of radius up to 0.4 R (R its ``radius``) and 8 points just inside every
+    boundary piece, all tested in one ``contains`` call."""
+    pc = boundary_pieces(domain)
+    rings = ((pc.radius * np.array([0.05, 0.1, 0.02, 0.2, 0.01, 0.4]))[:, None]
+             * np.exp(1j * math.pi * np.arange(8) / 4.0))
+    # each piece's parametrization at t + 1e-3 i: 1e-3 of its length to its
+    # left (to first order, on an arc)
+    t = (np.arange(8)[:, None] + 0.5) / 8.0 + 1e-3j
+    segs = pc.seg_anchor + (pc.seg_lo + t * (pc.seg_hi - pc.seg_lo)) * pc.seg_dir
+    arcs = pc.arc_center + pc.arc_radius * np.exp(1j * (pc.arc_start + t * pc.arc_sweep))
+    candidates = np.concatenate([[0j], rings.ravel(), segs.ravel(), arcs.ravel()])
     feet = []
-    for c in candidates:
-        if bool(domain.contains(c)) and all(abs(c - f) > 1e-12 for f in feet):
-            feet.append(complex(c))
+    for c in candidates[domain.contains(candidates)].tolist():
+        if all(abs(c - f) > 1e-12 for f in feet):
+            feet.append(c)
             if len(feet) == k:
                 return feet
-    raise ValueError(f"could not seed {k} interior vertical lines "
-                     f"(found {len(feet)}); domain too thin near 0?")
+    raise ValueError(f"could not seed {k} interior vertical lines (found {len(feet)})")
 
 
 def _solve_levels(domain, feet, targets, config):
@@ -338,8 +346,7 @@ def find_quantizable(domain: PlanarDomain, k: int, ell: int,
         raise ValueError("need k >= 2 (a single point is never quantizable)")
     if not 1 <= ell <= k - 1:
         raise ValueError(f"need 1 <= ell <= k-1, got ell={ell}")
-    if not math.isfinite(domain.bounding_radius):
-        raise ValueError("quantizable search requires a bounded domain")
+    _bounded_radius(domain, "quantizable search")
     if levels is None:
         targets = [ell / k] * k
     else:

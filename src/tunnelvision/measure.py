@@ -472,7 +472,7 @@ class _RayIntegrand:
         self.domain = domain
         self.foot = p.foot
         self.z = p.z
-        r = domain.bounding_radius
+        r = boundary_pieces(domain).radius
         self.far_pad = max(p.z, abs(p.foot) + p.z + (r if math.isfinite(r) else 1.0))
 
     def __call__(self, phis: np.ndarray) -> np.ndarray:

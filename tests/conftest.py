@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tunnelvision import domains, measure
-from tunnelvision.domains import dogbone
+from tunnelvision.domains import HalfPlane, Intersection, dogbone
 from tunnelvision.groups import enumerate_group, side_pairing_generators
 from tunnelvision.measure import QuadratureConfig
 
@@ -51,6 +51,13 @@ def quad_cfg():
 @pytest.fixture(scope="session")
 def dogbone01():
     return dogbone(0.1)
+
+
+@pytest.fixture(scope="session")
+def halfplane_square():
+    """The square |x|, |y| < 1 as an intersection of four half-planes."""
+    return Intersection(HalfPlane(1, -1.0), HalfPlane(-1, -1.0),
+                        HalfPlane(1j, -1.0), HalfPlane(-1j, -1.0))
 
 
 @pytest.fixture(scope="session")

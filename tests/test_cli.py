@@ -418,6 +418,24 @@ def test_quantize_cli(dogbone_json, tmp_path):
                  "2", "--out-dir", str(tmp_path)]) == 1
 
 
+def test_quantize_cli_on_an_annulus(tmp_path):
+    # 0 lies in the hole: the vertical lines are seeded beside the boundary
+    path = tmp_path / "annulus.json"
+    path.write_text(json.dumps({"op": "difference", "args": [
+        {"disk": {"c": [0, 0], "r": 1.0}}, {"disk": {"c": [0, 0], "r": 0.5}}]}))
+    assert main(["quantize", "--domain", str(path), "--k", "2", "--ell", "1",
+                 "--out-dir", str(tmp_path)]) == 0
+
+
+def test_critical_cli_on_a_square_of_half_planes(halfplane_square, tmp_path):
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps(halfplane_square.to_obj()))
+    assert main(["critical", "--domain", str(path), "--grid-n", "8",
+                 "--out-dir", str(tmp_path)]) == 0
+    verdict = json.loads((tmp_path / "verdict.json").read_text())
+    assert verdict["status"] == "no_critical_point_found"
+
+
 def test_quantize_below_float_resolution_terminates(dogbone_json, tmp_path):
     # tol 1e-18 asks the level solve for a log-height bracket narrower than
     # the float spacing there; the solve stops at that spacing instead.  No

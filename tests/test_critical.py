@@ -1,3 +1,4 @@
+import cmath
 import hashlib
 import json
 import math
@@ -5,6 +6,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from tunnelvision import critical
 from tunnelvision.critical import (AxisProfile, GridSpec, RefinementError,
@@ -14,8 +16,8 @@ from tunnelvision.critical import (AxisProfile, GridSpec, RefinementError,
 from tunnelvision.domains import (Difference, Disk, HalfPlane, Intersection, Union,
                                   dogbone)
 from tunnelvision.forms import zero_locus_report
-from tunnelvision.hyperbolic import H3Point
-from tunnelvision.measure import (QuadratureConfig, harmonic_measure,
+from tunnelvision.hyperbolic import H3Point, MobiusMap
+from tunnelvision.measure import (QuadratureConfig, harmonic_measure, measure_many,
                                   measure_with_gradient)
 from tunnelvision.runio import dump_json
 
@@ -332,6 +334,29 @@ def test_verdict_rejects_halfplane():
         almost_kahler_verdict(HalfPlane(1j, 0.0), None, CFG)
 
 
+def test_a_square_of_half_planes_is_searched(halfplane_square):
+    # bounded by its arrangement, though every primitive is unbounded
+    grid = GridSpec.for_domain(halfplane_square, 8)
+    r = math.sqrt(2.0)
+    assert grid.x == grid.y == (pytest.approx(-r, rel=1e-15), pytest.approx(r, rel=1e-15), 8)
+    assert grid.z == (pytest.approx(0.05 * r), pytest.approx(8.0 * r), 8)
+    profile = axis_profile(halfplane_square, grid.z[0], grid.z[1], 60, CFG)
+    assert axis_critical_points(profile, halfplane_square, 1e-6, CFG) == []
+    verdict = almost_kahler_verdict(halfplane_square, grid)
+    assert verdict.status == "no_critical_point_found"
+    assert verdict.coverage["nonconverged_evaluations"] == 0
+
+
+def test_an_empty_region_is_refused_as_empty():
+    # two disjoint disks intersected: no boundary pieces, radius 0
+    empty = Intersection(Disk(2.0, 0.5), Disk(-2.0, 0.5))
+    with pytest.raises(ValueError, match="region is empty"):
+        GridSpec.for_domain(empty)
+    for search in (None, GridSpec()):
+        with pytest.raises(ValueError, match="region is empty"):
+            almost_kahler_verdict(empty, search)
+
+
 # A region bounded by two disjoint circles has one critical point, on the
 # geodesic between the limit points of the circles' pencil, at height
 # sqrt(R1 R2) once a Mobius map makes the circles concentric with radii R1, R2.
@@ -349,6 +374,62 @@ def test_verdict_meets_the_two_circle_closed_form(region, z):
     [report] = verdict.reports
     assert (report.classification, report.conclusive) == ("axis-max", True)
     assert abs(report.location.z - z) <= report.tolerance
+
+
+def two_circle_critical_point(c1, r1, c2, r2) -> H3Point:
+    """The critical point of a region bounded by two disjoint, non-concentric circles.
+
+    The region is two disjoint disks, or a disk minus a disk inside it.  The
+    limit points of the circles' pencil are the pair of points inverse to
+    each other in both circles; on the line of centres, at c1 + x e and
+    c1 + (r1^2 / x) e, where d x^2 - (d^2 + r1^2 - r2^2) x + d r1^2 = 0.
+    g sends them to 0 and infinity, the circles to concentric ones of radii
+    R1 > R2, and the critical point is g^-1(0, 0, sqrt(R1 R2)).
+    """
+    d = abs(c2 - c1)
+    e = (c2 - c1) / d
+    b = d * d + r1 * r1 - r2 * r2
+    x = (b + math.sqrt((b - 2.0 * d * r1) * (b + 2.0 * d * r1))) / (2.0 * d)
+    g = MobiusMap(1.0, -(c1 + x * e), 1.0, -(c1 + r1 * r1 / x * e))
+    R1, R2 = (abs(g.apply_boundary(c + r)) for c, r in ((c1, r1), (c2, r2)))
+    return g.inverse().apply_h3(H3Point(0.0, 0.0, math.sqrt(R1 * R2)))
+
+
+def test_two_circle_closed_form_on_the_symmetric_cases():
+    # disks of radius r centred at +-c have their limit points at
+    # +-sqrt(c^2 - r^2), so the critical point is on the axis at that height
+    p = two_circle_critical_point(1.0, 0.5, -1.0, 0.5)
+    assert (p.x, p.y, p.z) == pytest.approx((0.0, 0.0, math.sqrt(0.75)), abs=1e-15)
+    p = two_circle_critical_point(0j, 1.0, 0.4, 0.2)   # Baseline: (0.5, 0, 0.387298)
+    assert (p.x, p.y, p.z) == pytest.approx((0.5, 0.0, math.sqrt(0.15)), abs=1e-15)
+
+
+@st.composite
+def two_circle_regions(draw):
+    """(region, c1, r1, c2, r2, chi): two disjoint disks or a holed disk."""
+    c1 = complex(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
+    turn = cmath.exp(1j * draw(st.floats(0.0, 2.0 * math.pi)))
+    if draw(st.booleans()):
+        r1, r2 = draw(st.floats(0.2, 1.0)), draw(st.floats(0.2, 1.0))
+        c2 = c1 + (r1 + r2 + draw(st.floats(0.1, 1.5))) * turn
+        return Union(Disk(c1, r1), Disk(c2, r2)), c1, r1, c2, r2, 2
+    r1 = draw(st.floats(0.5, 1.5))
+    r2 = draw(st.floats(0.1, 0.6)) * r1
+    c2 = c1 + draw(st.floats(0.05, 1.0)) * (0.9 * r1 - r2) * turn
+    return Difference(Disk(c1, r1), Disk(c2, r2)), c1, r1, c2, r2, 0
+
+
+@given(two_circle_regions())
+def test_two_circle_regions_meet_their_closed_form(case):
+    region, c1, r1, c2, r2, chi = case
+    p = two_circle_critical_point(c1, r1, c2, r2)
+    record = measure_many(region, [p], CFG, gradient=True)
+    assert np.all(np.abs(record.gradients[0]) <= record.gradient_errors[0])
+    seed = H3Point(p.x + 0.01, p.y - 0.01, 1.02 * p.z)
+    report = refine_critical_point_3d(region, seed, 1e-9, CFG)
+    assert np.abs(report.location.as_array() - p.as_array()).max() <= 1e-6
+    # the index identity: sign det H sums to chi - 1 over the critical points
+    assert np.sign(report.hessian_det) == chi - 1
 
 
 def _translated_dogbone(epsilon, s):

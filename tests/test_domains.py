@@ -159,7 +159,7 @@ def test_polygon_validation():
 
 def test_polygon_scaled_and_bounding():
     tri = SimplePolygon((0j, 2 + 0j, 1j))
-    assert tri.bounding_radius == 2.0
+    assert boundary_pieces(tri).radius == 2.0
     assert tri.scaled(2.0).contains(3 + 0j) == tri.contains(1.5 + 0j)
 
 
@@ -250,10 +250,40 @@ def test_boundary_points_clipped(dogbone01):
 
 
 def test_bounding_radii(dogbone01):
-    assert dogbone01.bounding_radius == pytest.approx(1.25)
-    assert math.isinf(HalfPlane(1j, 0.0).bounding_radius)
-    assert Intersection(HalfPlane(1j, 0.0), Disk(0, 2.0)).bounding_radius == 2.0
-    assert Difference(Disk(0, 1.0), HalfPlane(1j, 0.0)).bounding_radius == 1.0
+    assert boundary_pieces(dogbone01).radius == pytest.approx(1.25)
+    assert math.isinf(boundary_pieces(HalfPlane(1j, 0.0)).radius)
+    assert boundary_pieces(Intersection(HalfPlane(1j, 0.0), Disk(0, 2.0))).radius == 2.0
+    assert boundary_pieces(Difference(Disk(0, 1.0), HalfPlane(1j, 0.0))).radius == 1.0
+
+
+def test_radius_comes_from_the_pieces(halfplane_square):
+    # the half-planes close up: the square's corners bound it
+    pc = boundary_pieces(halfplane_square)
+    assert (pc.at_infinity, pc.radius) == (0.0, pytest.approx(math.sqrt(2.0), rel=1e-15))
+    assert boundary_pieces(Intersection(Disk(2, 0.5), Disk(-2, 0.5))).radius == 0.0
+    assert math.isinf(boundary_pieces(Union(Disk(0, 1.0), HalfPlane(1j, 2.0))).radius)
+    assert math.isinf(boundary_pieces(Difference(HalfPlane(1j, 0.0), Disk(0, 1.0))).radius)
+
+
+@pytest.mark.parametrize("region", [
+    Disk(5.0, 0.5),
+    Difference(Disk(1.0, 0.5), Disk(1.5, 0.3)),   # the far point is cut away
+    Difference(Disk(0, 1.0), Disk(0.4, 0.2)),
+    Union(Disk(0.3, 0.5), Disk(-1.2j, 0.4)),
+    Intersection(Disk(1.0, 1.0), HalfPlane(-1, -1.2)),
+    Union(SimplePolygon((1 + 1j, -2 + 0.5j, 0.5 - 1j)), Disk(1 + 1j, 0.1)),
+    dogbone(0.1),
+], ids=["far-disk", "bitten-disk", "offset-annulus", "two-disks", "cut-disk",
+        "triangle-and-disk", "dogbone"])
+def test_radius_is_the_largest_modulus_on_the_boundary(region):
+    pc = boundary_pieces(region)
+    t = np.linspace(0.0, 1.0, 100_001)[:, None]
+    pts = np.concatenate([
+        (pc.seg_anchor + (pc.seg_lo + t * (pc.seg_hi - pc.seg_lo)) * pc.seg_dir).ravel(),
+        (pc.arc_center + pc.arc_radius * np.exp(1j * (pc.arc_start + t * pc.arc_sweep)))
+        .ravel()])
+    top = np.abs(pts).max()
+    assert top * (1.0 - 1e-15) <= pc.radius <= top * (1.0 + 1e-8)
 
 
 @pytest.mark.parametrize("build, name", [

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tunnelvision import greens, measure
-from tunnelvision.domains import Disk, dogbone
+from tunnelvision.domains import Difference, Disk, Union, dogbone
 from tunnelvision.greens import (NonConvergentSeriesError, PoleCollisionError,
                                  PointConfiguration, find_quantizable,
                                  green_flux, h3_green, potential_V,
@@ -290,6 +290,16 @@ def test_nondecaying_shells_flagged():
         quotient_green(fake, H3Point(0, 0, 1), H3Point(5.0, 0, 1), 3)
 
 
+def test_series_refuse_shells_beyond_the_record(genus2_generators, genus2_elements):
+    shallow = enumerate_group(genus2_generators, 3)
+    pole, q = H3Point(0.1, 0.05, 0.9), H3Point(0.3, -0.2, 0.6)
+    assert quotient_green(shallow, pole, q, 3) == quotient_green(genus2_elements, pole, q, 3)
+    with pytest.raises(ValueError, match="depth 3 < 6 shells"):
+        quotient_green(shallow, pole, q, 6)
+    with pytest.raises(ValueError, match="depth 3 < 6 shells"):
+        potential_V(PointConfiguration((pole,), group=shallow), q)
+
+
 def test_potential_empty_configuration():
     empty = PointConfiguration(points=())
     assert potential_V(empty, H3Point(1, 2, 3)) == 1.0
@@ -415,6 +425,27 @@ def test_find_quantizable_evaluation_calls(measure_calls, dogbone01):
     # alone takes 14 calls), plus one for the final values
     find_quantizable(dogbone01, 2, 1)
     assert measure_calls[0] <= 17
+
+
+@pytest.mark.parametrize("region", [
+    Difference(Disk(0, 1.0), Disk(0, 0.5)),
+    Union(Disk(1.0, 0.25), Disk(-1.0, 0.25)),
+    Disk(5.0, 0.5),
+], ids=["annulus", "two-disks", "far-disk"])
+def test_find_quantizable_seeds_away_from_the_origin(region):
+    # no ring point about 0 lies in these regions; the seeds come from
+    # just inside the boundary pieces
+    config = find_quantizable(region, 3, 1, CFG)
+    assert region.contains(np.array([p.foot for p in config.points])).all()
+    result = quantization_sum(config)
+    assert result.is_quantizable and result.converged
+    assert abs(result.total - 1.0) <= 1e-10
+
+
+def test_find_quantizable_on_a_square_of_half_planes(halfplane_square):
+    config = find_quantizable(halfplane_square, 2, 1, CFG)
+    result = quantization_sum(config)
+    assert result.is_quantizable and result.converged
 
 
 def test_find_quantizable_validation(dogbone01):
